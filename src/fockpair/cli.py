@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import __version__, antilinear, gaussian, suites
-from .detsqrt import det_sqrt, in_gv, segment_branch_check
+from .detsqrt import det_sqrt, segment_branch_check
 from .errors import DomainError, FockpairError
 from .gaussian import GaussianSeed, gaussian_series
 from .pairing import (
@@ -197,8 +197,6 @@ def _cmd_takagi(args) -> int:
 def _cmd_detsqrt(args) -> int:
     t0 = time.perf_counter()
     mat = load_matrix(args.matrix)
-    if not in_gv(mat):
-        raise DomainError("matrix lies outside the right-half-plane domain of the square-root branch")
     value = det_sqrt(mat)
     jump, continuation = segment_branch_check(mat)
     result = {

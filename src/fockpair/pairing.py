@@ -16,6 +16,12 @@ Verdict rules, in the order applied to the nonzero terms:
   * otherwise, if acceleration is enabled, the epsilon algorithm is applied
     to the partial sums and convergence is claimed only when the tableau
     residual and a shortened-window cross-check both sit below tolerance.
+
+The plain, scaled and Abel pairings share one weighted-sum kernel: a term
+matrix with one row per t (a single row for the plain and scaled pairings,
+the whole grid for the Abel pairing).  The rules above run row by row, and
+every row they leave open goes through one batched epsilon table, which
+serves both the full and the shortened window of each row.
 """
 
 from __future__ import annotations
@@ -32,6 +38,12 @@ _DIVERGENCE_WINDOW = 20
 _DIVERGENCE_DEGREE = 50
 _RATIO_WINDOW = 10
 _EPS_TERMS = 220
+# sentinel for epsilon-table entries whose difference vanishes or is not finite
+_HUGE = 1e300
+# (real, imaginary) planes of the sentinel, and the signs that turn
+# (1, ratio) / (ratio, 1) into CPython's numerators of 1/d
+_SENTINEL = np.array([[_HUGE], [0.0]])
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -119,44 +131,112 @@ def degree_terms(phi: GradedElement, psi: GradedElement, max_degree: int | None 
     return terms, finite
 
 
-def wynn_epsilon(sums) -> tuple[complex, float]:
+def wynn_epsilon(sums, lengths=None):
     """Best even-column entry of the epsilon tableau and its residual.
 
     Divisions by vanishing differences are masked with a huge sentinel and
     such entries never become candidates; the candidate with the smallest
     last-step difference wins, which keeps exactly-summable cases (rational
     generating functions) at residual zero instead of dividing 0 by 0.
+
+    A 1-D `sums` gives (value, residual) for the whole sequence.  A 2-D
+    `sums` holds one sequence per row and `lengths` (rows x k integers) the
+    prefixes to evaluate on each row; the result is then a pair of complex
+    and float arrays shaped like `lengths`.  Entry (k, j) of the tableau
+    reads only s_j ... s_{j+k}, so every prefix of a row is read off the one
+    table that row builds.
     """
-    s = [complex(x) for x in sums]
-    n = len(s)
-    if n == 0:
-        return 0j, math.inf
-    if n == 1:
-        return s[0], math.inf
-    huge = 1e300
-    prev2 = [0j] * (n + 1)
-    prev = list(s)
-    cands = [(prev[-1], abs(prev[-1] - prev[-2]))]
-    col = 0
-    while len(prev) >= 2:
-        col += 1
-        cur = []
-        for j in range(len(prev) - 1):
-            d = prev[j + 1] - prev[j]
-            if d == 0 or not np.isfinite(d):
-                cur.append(complex(huge))
-            else:
-                cur.append(prev2[j + 1] + 1.0 / d)
-        if col % 2 == 0 and cur:
-            v = cur[-1]
-            if np.isfinite(v) and abs(v) < huge / 10:
-                if len(cur) >= 2 and np.isfinite(cur[-2]) and abs(cur[-2]) < huge / 10:
-                    r = abs(cur[-1] - cur[-2])
-                else:
-                    r = abs(v - cands[-1][0])
-                cands.append((v, r))
-        prev2, prev = prev, cur
-    return min(cands, key=lambda c: c[1])
+    s = np.asarray(sums, dtype=complex)
+    if s.ndim == 1:
+        values, resids = _epsilon_table(s[None, :], np.array([[len(s)]]))
+        return complex(values[0, 0]), float(resids[0, 0])
+    lengths = np.asarray(lengths)
+    if (s.ndim != 2 or lengths.ndim != 2 or lengths.shape[0] != s.shape[0]
+            or not np.issubdtype(lengths.dtype, np.integer)
+            or (lengths.size and not 0 <= lengths.min() <= lengths.max() <= s.shape[1])):
+        raise ValueError("a block of sums needs rows x k integer prefix lengths within its rows")
+    return _epsilon_table(s, lengths)
+
+
+def _epsilon_table(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-by-column epsilon tableau of a block of partial sums.
+
+    The rows are laid end to end and every column is computed over the
+    whole flat line, with real and imaginary parts in two planes of one
+    float array, so a column costs a fixed handful of numpy calls on
+    preallocated buffers.  Entries whose window crosses into the next row
+    are never read.  The arithmetic repeats CPython's complex arithmetic
+    exactly, so a block gives bit for bit what a scalar tableau gives on
+    each prefix: 1/d uses CPython's division formula (Smith's method,
+    branching on the larger part of d), |z| is hypot(re, im), and the
+    minimum keeps the first of equal residuals and never moves off a NaN
+    first residual.
+    """
+    n = lengths.ravel()
+    q = len(n)
+    width = int(n.max(initial=0))
+    if width == 0:
+        return np.zeros(lengths.shape, dtype=complex), np.full(lengths.shape, math.inf)
+    flat = np.ascontiguousarray(s[:, :width]).ravel()
+    size = len(flat)
+    # Candidates are the last entry of each even column a prefix reaches,
+    # column 0 (the partial sums) included; each is measured by its gap to
+    # the entry before it.  Column k holds both k places left of the flat
+    # positions of the prefix's last partial sum and the one before it.
+    ends = np.arange(s.shape[0]).repeat(lengths.shape[1]) * width + n - 1
+    ends = np.concatenate([ends, ends - 1])
+    picked = np.empty(((width + 1) // 2, 2, 2 * q))
+    # three rotating tableau columns, e_(k-2), e_(k-1) and the one being
+    # filled, each with its views shifted by one place
+    planes = [np.zeros((2, size)), flat.view(float).reshape(size, 2).T.copy(), np.zeros((2, size))]
+    np.take(planes[1], ends, axis=1, mode="clip", out=picked[0])
+    cols = [(p, p[:, 1:], p[:, :-1]) for p in planes]
+    d, unit, prod = np.empty((3, 2, size - 1))
+    (d_re, d_im), (prod_re, prod_im) = d, prod
+    by_re = np.empty(size - 1, dtype=bool)
+    denom = np.empty(size - 1)
+    bad = np.empty(size - 1, dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(1, width):
+            (_, prev2_hi, _), (_, prev_hi, prev_lo), (cur, _, cur_lo) = cols
+            np.subtract(prev_hi, prev_lo, out=d)
+            # CPython divides 1 by d through ratio = (smaller part) / (larger
+            # part); d / larger part is (1, ratio) or (ratio, 1)
+            np.abs(d, out=prod)
+            np.greater_equal(prod_re, prod_im, out=by_re)
+            np.divide(d, np.where(by_re, d_re, d_im), out=unit)
+            np.multiply(d, unit, out=prod)
+            np.add(prod_re, prod_im, out=denom)
+            unit *= _SIGNS
+            unit += 0.0  # 0.0 - x and x + 0.0 never leave a negative zero
+            unit /= denom
+            np.add(prev2_hi, unit, out=cur_lo)
+            # NaN exactly where d is zero or not finite
+            np.copyto(cur_lo, _SENTINEL, where=np.isnan(denom, out=bad))
+            if k % 2 == 0:
+                np.take(cur, ends - k, axis=1, mode="clip", out=picked[k // 2])
+            cols = cols[1:] + cols[:1]
+
+        reach = np.concatenate([n, n - 1])
+        # hypot is NaN or infinite unless both parts are finite
+        usable = (np.arange(0, width, 2)[:, None] < reach) & (np.hypot(picked[:, 0], picked[:, 1]) < _HUGE / 10)
+        usable[0] = reach > 0  # the partial sums count whatever they hold
+        entry = np.empty(usable.shape, dtype=complex)
+        entry.real, entry.imag = picked[:, 0], picked[:, 1]
+        last, ok, has_pair = entry[:, :q], usable[:, :q], usable[:, q:]
+        # an entry without a left neighbour is measured against the last
+        # candidate accepted before it
+        accepted = np.maximum.accumulate(np.where(ok, np.arange(len(ok))[:, None], 0), axis=0)
+        prior = last[np.concatenate([accepted[:1], accepted[:-1]]), np.arange(q)]
+        gap = last - np.where(has_pair, entry[:, q:], prior)
+        resid = np.hypot(gap.real, gap.imag)
+        resid[0, n < 2] = math.inf
+        # the first of equal residuals wins, and a NaN residual of the last
+        # partial sum wins outright, as np.argmin stops at the first NaN
+        key = np.where(ok & ~np.isnan(resid), resid, math.inf)
+        key[0] = resid[0]
+        pick = (np.argmin(key, axis=0), np.arange(q))
+    return np.where(n >= 1, last[pick], 0j).reshape(lengths.shape), key[pick].reshape(lengths.shape)
 
 
 @dataclass(frozen=True)
@@ -168,17 +248,22 @@ class _SeriesOutcome:
     used_degree: int
 
 
-def _sum_weighted(terms: np.ndarray, degrees: np.ndarray, finite: bool, cfg: RegularizationConfig) -> _SeriesOutcome:
-    """Apply the verdict rules to an already-weighted term sequence."""
+def _rules(terms: np.ndarray, degrees: np.ndarray, finite: bool, cfg: RegularizationConfig):
+    """Verdict of one weighted term sequence by the rules that need no table.
+
+    An undecided outcome comes with the partial sums that the epsilon
+    algorithm should still try, or None when acceleration is off or the
+    sequence is too short for it.
+    """
     nz = np.flatnonzero(terms)
     used = int(degrees[-1]) if len(degrees) else 0
     if len(nz) == 0:
-        return _SeriesOutcome(0j, "converged", True, 0.0, used)
+        return _SeriesOutcome(0j, "converged", True, 0.0, used), None
     w = terms[nz]
     wd = degrees[nz]
     total = complex(np.sum(w))
     if finite:
-        return _SeriesOutcome(total, "converged", True, 0.0, int(wd[-1]))
+        return _SeriesOutcome(total, "converged", True, 0.0, int(wd[-1])), None
 
     tol = cfg.tolerance
     mags = np.abs(w)
@@ -196,7 +281,7 @@ def _sum_weighted(terms: np.ndarray, degrees: np.ndarray, finite: bool, cfg: Reg
             # not be called divergent on a window cut before the turnaround
             rho_lim = float(np.polyfit(1.0 / pos[1:], ratios, 1)[1])
             if rho_lim >= 1.0 - 1e-9:
-                return _SeriesOutcome(None, "divergent", False, math.inf, int(wd[-1]))
+                return _SeriesOutcome(None, "divergent", False, math.inf, int(wd[-1])), None
 
     # geometric tail
     if len(mags) >= _RATIO_WINDOW + 1:
@@ -205,25 +290,52 @@ def _sum_weighted(terms: np.ndarray, degrees: np.ndarray, finite: bool, cfg: Reg
             rho = float(np.max(last[1:] / last[:-1]))
             if rho < 1.0 and np.all(last[1:] <= tol * (1.0 - rho)):
                 tail = float(last[-1]) * rho / (1.0 - rho)
-                return _SeriesOutcome(total, "converged", True, tail, int(wd[-1]))
+                return _SeriesOutcome(total, "converged", True, tail, int(wd[-1])), None
 
+    undecided = _SeriesOutcome(None, "undecided", False, math.inf, int(wd[-1]))
     if cfg.acceleration == "epsilon_algorithm" and len(w) >= 8:
-        head = w[: min(len(w), _EPS_TERMS)]
-        sums = np.cumsum(head)
-        v_full, r_full = wynn_epsilon(sums)
-        v_part, _ = wynn_epsilon(sums[: max(8, 3 * len(sums) // 4)])
-        resid = max(r_full, abs(v_full - v_part))
-        if math.isfinite(resid) and resid <= tol:
-            return _SeriesOutcome(v_full, "converged", True, float(resid), int(wd[-1]))
+        return undecided, np.cumsum(w[:_EPS_TERMS])
+    return undecided, None
 
-    return _SeriesOutcome(None, "undecided", False, math.inf, int(wd[-1]))
+
+def _sum_weighted(rows, degrees: np.ndarray, finite: bool, cfg: RegularizationConfig) -> list[_SeriesOutcome]:
+    """Apply the verdict rules to each row of already-weighted term sequences.
+
+    The rows the cheap rules leave open go through one epsilon table, which
+    gives both the full window and the shortened cross-check window of each;
+    convergence is claimed only when the tableau residual and the gap
+    between the two windows both sit below tolerance.
+    """
+    ruled = [_rules(terms, degrees, finite, cfg) for terms in rows]
+    outcomes = [out for out, _ in ruled]
+    pending = [(i, head) for i, (_, head) in enumerate(ruled) if head is not None]
+    if not pending:
+        return outcomes
+    block = np.zeros((len(pending), max(len(head) for _, head in pending)), dtype=complex)
+    lengths = np.empty((len(pending), 2), dtype=np.intp)
+    for r, (_, head) in enumerate(pending):
+        block[r, :len(head)] = head
+        lengths[r] = len(head), max(8, 3 * len(head) // 4)
+    values, resids = wynn_epsilon(block, lengths)
+    for (i, _), (v_full, v_part), (r_full, _) in zip(pending, values.tolist(), resids.tolist()):
+        resid = max(r_full, abs(v_full - v_part))
+        if math.isfinite(resid) and resid <= cfg.tolerance:
+            outcomes[i] = _SeriesOutcome(v_full, "converged", True, resid, outcomes[i].used_degree)
+    return outcomes
+
+
+def _scaled(terms: np.ndarray, degrees: np.ndarray, ts) -> np.ndarray:
+    """(t x degree) matrix of the terms weighted by t^{2d}."""
+    return terms * np.asarray(ts, dtype=float)[:, None] ** (2.0 * degrees)
 
 
 def pairing_1(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig | None = None) -> PairingReport:
     """Plain degreewise series pairing sum_d <phi_d | psi_d>."""
     cfg = cfg or RegularizationConfig()
     terms, finite = degree_terms(phi, psi, cfg.max_degree)
-    out = _sum_weighted(terms, np.arange(len(terms)), finite, cfg)
+    # the row stays unweighted: a complex product with 1.0 turns an infinite
+    # imaginary part into a NaN real part and can flip a signed zero
+    out = _sum_weighted([terms], np.arange(len(terms)), finite, cfg)[0]
     return PairingReport(
         value=out.value,
         method="series_1",
@@ -241,8 +353,7 @@ def pairing_t(phi: GradedElement, psi: GradedElement, t: float, cfg: Regularizat
     cfg = cfg or RegularizationConfig()
     terms, finite = degree_terms(phi, psi, cfg.max_degree)
     degrees = np.arange(len(terms))
-    weighted = terms * t ** (2.0 * degrees)
-    out = _sum_weighted(weighted, degrees, finite, cfg)
+    out = _sum_weighted(_scaled(terms, degrees, [t]), degrees, finite, cfg)[0]
     return PairingReport(
         value=out.value,
         method="scaled_t",
@@ -261,6 +372,8 @@ def abel_pairing(phi: GradedElement, psi: GradedElement, cfg: RegularizationConf
     from the epsilon algorithm across the grid values.  Grid values that
     grow without bound are reported as divergent rather than extrapolated,
     since extrapolating them would produce an antilimit, not an Abel limit.
+    The whole grid is summed at once; its outcomes are read in grid order
+    and the first one that fails decides the report.
     """
     cfg = cfg or RegularizationConfig()
     grid = cfg.t_grid()
@@ -269,9 +382,7 @@ def abel_pairing(phi: GradedElement, psi: GradedElement, cfg: RegularizationConf
     values: list[complex] = []
     used = 0
     worst_tail = 0.0
-    for t in grid:
-        weighted = terms * t ** (2.0 * degrees)
-        out = _sum_weighted(weighted, degrees, finite, cfg)
+    for t, out in zip(grid, _sum_weighted(_scaled(terms, degrees, grid), degrees, finite, cfg)):
         used = max(used, out.used_degree)
         if out.verdict == "divergent":
             return PairingReport(

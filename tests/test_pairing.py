@@ -7,7 +7,7 @@ import pytest
 
 import fockpair as fp
 from fockpair.algebra import basis_size, evaluate, symmetric_power_matrix
-from fockpair.pairing import degree_terms, wynn_epsilon
+from fockpair.pairing import PairingReport, _scaled, _sum_weighted, degree_terms, wynn_epsilon
 
 
 def rnd_poly(rng, m, top, decay=0.6):
@@ -258,6 +258,88 @@ def test_divergence_demo_ratios():
             assert r == pytest.approx((n + m / 2.0) / (n + 1.0), rel=1e-9)
 
 
+def test_wynn_epsilon_rejects_bad_lengths():
+    block = np.cumsum(np.ones((2, 5)), axis=1)
+    for lengths in (None, [[5], [6]], [[5], [-1]], [[5, 5]], [[2.0], [3.0]]):
+        with pytest.raises(ValueError):
+            wynn_epsilon(block, lengths)
+
+
+def _reference_abel(phi, psi, cfg):
+    """Abel pairing one grid point at a time, extrapolated by the scalar tableau."""
+    grid = cfg.t_grid()
+    values = []
+    used = 0
+    worst_tail = 0.0
+    for t in grid:
+        out = fp.pairing_t(phi, psi, t, cfg)
+        used = max(used, out.truncation_degree)
+        if out.verdict == "divergent":
+            return PairingReport(
+                value=None, method="abel", verdict="divergent", converged=False,
+                truncation_degree=used, tail_estimate=math.inf,
+                t_grid=tuple(grid), failed_t=t,
+            )
+        if not out.converged:
+            return PairingReport(
+                value=None, method="abel", verdict="undecided", converged=False,
+                truncation_degree=used, tail_estimate=math.inf,
+                t_grid=tuple(grid), failed_t=t,
+            )
+        worst_tail = max(worst_tail, out.tail_estimate)
+        values.append(out.value)
+    mags = np.abs(np.array(values))
+    if len(mags) >= 6:
+        lastsix = mags[-6:]
+        if np.all(np.diff(lastsix) > 0) and lastsix[-1] > 4.0 * (lastsix[0] + 1e-30):
+            return PairingReport(
+                value=None, method="abel", verdict="divergent", converged=False,
+                truncation_degree=used, tail_estimate=math.inf,
+                t_grid=tuple(grid), failed_t=grid[-1],
+            )
+    value, resid = _scalar_wynn(values)
+    ok = math.isfinite(resid) and resid <= cfg.tolerance
+    return PairingReport(
+        value=value if ok else None,
+        method="abel",
+        verdict="converged" if ok else "undecided",
+        converged=ok,
+        truncation_degree=used,
+        tail_estimate=worst_tail,
+        t_grid=tuple(grid),
+        extrapolation_residual=float(resid),
+    )
+
+
+def test_abel_grid_matches_pointwise_loop():
+    cfg = fp.RegularizationConfig()
+    grid = cfg.t_grid()
+    n = cfg.max_degree + 1
+    rng = np.random.default_rng(2)
+    cases = {
+        "convergent": (0.5 ** np.arange(n), "converged", None),
+        "alternating": ((-1.0) ** np.arange(n), "converged", None),
+        # ratio 1.05 t^2 crosses 1 between the third and fourth grid points
+        "growing": (1.05 ** np.arange(n), "divergent", grid[3]),
+        # bounded random terms: no rule decides once t is close enough to 1
+        "random": (rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n), "undecided", grid[1]),
+    }
+    ones = fp.sequence_element(np.ones(n))
+    for name, (seq, verdict, failed_t) in cases.items():
+        psi = fp.sequence_element(seq)
+        got = fp.abel_pairing(ones, psi, cfg)
+        assert repr(got) == repr(_reference_abel(ones, psi, cfg)), name
+        assert (got.verdict, got.failed_t) == (verdict, failed_t), name
+        terms, finite = degree_terms(ones, psi, cfg.max_degree)
+        degrees = np.arange(len(terms))
+        rows = _sum_weighted(_scaled(terms, degrees, grid), degrees, finite, cfg)
+        for t, row in zip(grid, rows):
+            rep = fp.pairing_t(ones, psi, t, cfg)
+            assert repr((rep.value, rep.verdict, rep.tail_estimate, rep.truncation_degree)) == repr(
+                (row.value, row.verdict, row.tail, row.used_degree)
+            ), (name, t)
+
+
 # ---------------------------------------------------------------- plumbing
 
 
@@ -274,6 +356,112 @@ def test_wynn_epsilon_on_known_limits():
     sums = np.cumsum([(-1.0) ** k / (k + 1.0) for k in range(40)])
     val, _ = wynn_epsilon(sums)
     assert abs(val - math.log(2.0)) <= 1e-10
+
+
+def _scalar_wynn(sums):
+    """Reference epsilon tableau: one scalar recurrence per entry."""
+    s = [complex(x) for x in sums]
+    n = len(s)
+    if n == 0:
+        return 0j, math.inf
+    if n == 1:
+        return s[0], math.inf
+    huge = 1e300
+    prev2 = [0j] * (n + 1)
+    prev = list(s)
+    cands = [(prev[-1], abs(prev[-1] - prev[-2]))]
+    col = 0
+    while len(prev) >= 2:
+        col += 1
+        cur = []
+        for j in range(len(prev) - 1):
+            d = prev[j + 1] - prev[j]
+            if d == 0 or not np.isfinite(d):
+                cur.append(complex(huge))
+            else:
+                cur.append(prev2[j + 1] + 1.0 / d)
+        if col % 2 == 0 and cur:
+            v = cur[-1]
+            if np.isfinite(v) and abs(v) < huge / 10:
+                if len(cur) >= 2 and np.isfinite(cur[-2]) and abs(cur[-2]) < huge / 10:
+                    r = abs(cur[-1] - cur[-2])
+                else:
+                    r = abs(v - cands[-1][0])
+                cands.append((v, r))
+        prev2, prev = prev, cur
+    return min(cands, key=lambda c: c[1])
+
+
+def _same_bits(a, b) -> bool:
+    """Equal including the sign of zero; any NaN matches any NaN."""
+    a, b = complex(a), complex(b)
+    return all(
+        (math.isnan(x) and math.isnan(y)) or (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+        for x, y in ((a.real, b.real), (a.imag, b.imag))
+    )
+
+
+def _fuzz_sums(rng, i):
+    """Partial sums of one of ten term families, edge cases included."""
+    n = int(rng.integers(0, 48))
+    k = np.arange(n)
+    family = i % 10
+    if family == 0:
+        terms = rng.standard_normal(n) * 0.6**k
+    elif family == 1:
+        terms = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (-0.9) ** k
+    elif family == 2:  # zero differences: repeated partial sums
+        terms = np.where(rng.random(n) < 0.4, 0.0, rng.standard_normal(n))
+    elif family == 3:  # signed zeros and exact small values
+        terms = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1j, -1j, complex(-0.0, 1.0)]), size=n)
+    elif family == 4:
+        terms = rng.standard_normal(n) * 10.0 ** rng.choice([-300, 0, 300], size=n)
+    elif family == 5:
+        terms = rng.choice(np.array([1e300, -1e300, np.inf, -np.inf, np.nan, 1.0, 0.0,
+                                     complex(np.nan, 1.0), complex(1.0, np.inf)]), size=n)
+    elif family == 6:  # constant sums
+        terms = np.zeros(n)
+        terms[:1] = 3.25
+    elif family == 7:
+        terms = (-1.0) ** k / (k + 1.0)
+    elif family == 8:
+        terms = rng.standard_normal(n) * 1e-300
+    else:
+        terms = (-1.0) ** k * (k + 1.0)
+    with np.errstate(all="ignore"):
+        sums = np.cumsum(np.asarray(terms, dtype=complex))
+    if family == 9 and n:
+        sums[rng.integers(0, n)] = sums[0]
+    return sums
+
+
+def test_wynn_epsilon_matches_scalar_tableau():
+    rng = np.random.default_rng(1956)
+    checked = 0
+    for i in range(1200):
+        sums = _fuzz_sums(rng, i)
+        kept = sums.copy()
+        value, resid = wynn_epsilon(sums)
+        want_value, want_resid = _scalar_wynn(sums)
+        assert _same_bits(value, want_value) and _same_bits(resid, want_resid), (i, sums)
+        assert np.array_equal(sums.view(np.int64), kept.view(np.int64))
+        checked += 1
+        if i % 3:
+            continue
+        # prefixes of three rows read off one table, each equal to its own
+        # call; the short row is padded with NaN, which no prefix may read
+        prefixes = sorted(p for p in {0, 1, 2, 3, len(sums) // 2, 3 * len(sums) // 4, len(sums)} if p <= len(sums))
+        short = sums[::2]
+        block = np.full((3, len(sums)), complex(np.nan, np.nan))
+        block[0], block[1], block[2, :len(short)] = sums, sums[::-1], short
+        lengths = [prefixes, prefixes, [min(p, len(short)) for p in prefixes]]
+        values, resids = wynn_epsilon(block, lengths)
+        for row in range(3):
+            for j, p in enumerate(lengths[row]):
+                want_value, want_resid = _scalar_wynn(block[row, :p])
+                assert _same_bits(values[row, j], want_value), (i, row, p)
+                assert _same_bits(resids[row, j], want_resid), (i, row, p)
+    assert checked >= 1000
 
 
 def test_regularization_config_validation():
