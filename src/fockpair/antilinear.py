@@ -148,24 +148,6 @@ def compose(y: AntilinearSymmetricMap, x: AntilinearSymmetricMap) -> np.ndarray:
     return y.matrix @ np.conj(x.matrix)
 
 
-def siegel_identity_residual(
-    x: AntilinearSymmetricMap, y: AntilinearSymmetricMap, v
-) -> float:
-    """Deviation in the algebraic identity linking I - YX to the two defects.
-
-    2 Re <v|(I - YX) v> = (|v|^2 - |Xv|^2) + (|v|^2 - |Yv|^2) + |Xv - Yv|^2
-    holds for any pair of symmetric antilinear maps.
-    """
-    v = np.asarray(v, dtype=complex).ravel()
-    xv = x.apply(v)
-    yv = y.apply(v)
-    lhs = 2.0 * np.real(np.vdot(v, v - compose(y, x) @ v))
-    nv = float(np.vdot(v, v).real)
-    rhs = (nv - float(np.vdot(xv, xv).real)) + (nv - float(np.vdot(yv, yv).real))
-    rhs += float(np.vdot(xv - yv, xv - yv).real)
-    return abs(lhs - rhs)
-
-
 def random_symmetric(m: int, rng: np.random.Generator, norm: float | None = None) -> AntilinearSymmetricMap:
     """Random complex symmetric map, optionally rescaled to a target norm."""
     g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))

@@ -131,6 +131,8 @@ def _seed_from_file(path: str) -> GaussianSeed:
 
 def _cmd_pair(args) -> int:
     t0 = time.perf_counter()
+    if args.method == "abel" and args.t is not None:
+        raise CliInputError("--t does not apply to --method abel, which takes its own grid t -> 1")
     cfg = _config_from_args(args)
     sx = _seed_from_file(args.x)
     sy = _seed_from_file(args.y)
@@ -138,7 +140,11 @@ def _cmd_pair(args) -> int:
               "acceleration": cfg.acceleration}
     if args.method == "closed":
         t = 1.0 if args.t is None else args.t
-        value = gaussian.pair_closed(sx, sy, t)
+        if t <= 0.0:
+            raise ValueError("t must be in (0, 1]")
+        # degree d carries t^(2d), as in the series method; the Gaussian
+        # degrees are 2n, so the closed form is evaluated at parameter t^2
+        value = gaussian.pair_closed(sx, sy, t * t)
         _emit("pair", config | {"t": t}, {"value": value, "method": "closed_form"}, t0)
         return 0
     ex = gaussian_series(sx, cap=cfg.max_degree)

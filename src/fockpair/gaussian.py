@@ -15,7 +15,7 @@ from .antilinear import (
     quadratic_from_map,
     takagi,
 )
-from .detsqrt import det_sqrt, in_gv
+from .detsqrt import det_sqrt
 from .errors import DomainError, GuardExceeded
 
 DEFAULT_CAP = 120
@@ -98,7 +98,5 @@ def pair_closed(x_seed: GaussianSeed, y_seed: GaussianSeed, t: float = 1.0) -> c
     if max(x_seed.norm, y_seed.norm) > 1.0 + 1e-12:
         raise DomainError("seeds must lie in the closed unit ball")
     m = x_seed.dim
-    arg = np.eye(m) - (t * t) * compose(y_seed.map, x_seed.map)
-    if not in_gv(arg):
-        raise DomainError("I - t^2 YX lies outside the determinant branch domain")
-    return 1.0 / det_sqrt(arg)
+    # det_sqrt raises DomainError when I - t^2 YX leaves its branch domain
+    return 1.0 / det_sqrt(np.eye(m) - (t * t) * compose(y_seed.map, x_seed.map))

@@ -38,6 +38,8 @@ _DIVERGENCE_WINDOW = 20
 _DIVERGENCE_DEGREE = 50
 _RATIO_WINDOW = 10
 _EPS_TERMS = 220
+# Abel grid t_k = 1 - 2^-k for these k
+_T_GRID_K = range(3, 13)
 # sentinel for epsilon-table entries whose difference vanishes or is not finite
 _HUGE = 1e300
 # (real, imaginary) planes of the sentinel, and the signs that turn
@@ -52,7 +54,6 @@ class RegularizationConfig:
 
     tolerance: float = 1e-8
     max_degree: int = 200
-    t_grid_k: tuple[int, int] = (3, 12)  # t_k = 1 - 2^-k, k in this inclusive range
     acceleration: str = "epsilon_algorithm"  # or "none"
 
     def __post_init__(self):
@@ -60,13 +61,9 @@ class RegularizationConfig:
             raise ValueError("tolerance must be positive")
         if self.acceleration not in ("none", "epsilon_algorithm"):
             raise ValueError(f"unknown acceleration {self.acceleration!r}")
-        k0, k1 = self.t_grid_k
-        if not (1 <= k0 <= k1):
-            raise ValueError("bad t-grid exponent range")
 
     def t_grid(self) -> list[float]:
-        k0, k1 = self.t_grid_k
-        return [1.0 - 2.0 ** (-k) for k in range(k0, k1 + 1)]
+        return [1.0 - 2.0 ** (-k) for k in _T_GRID_K]
 
 
 @dataclass(frozen=True)
@@ -465,19 +462,17 @@ def hoelder_norm(phi: GradedElement, p: float, truncation: int | None = None) ->
 def hoelder_pairing_check(
     phi: GradedElement, psi: GradedElement, p: float, q: float, truncation: int | None = None
 ) -> HoelderCheck:
-    """Slack of sum_d |<phi_d|psi_d>| against the product of conjugate norms."""
+    """Slack of sum_d |<phi_d|psi_d>| against the product of conjugate norms.
+
+    The terms come from `degree_terms`, which refuses a polynomial factor
+    that reaches past a truncated factor's horizon.
+    """
     inv = (0.0 if math.isinf(p) else 1.0 / p) + (0.0 if math.isinf(q) else 1.0 / q)
     if abs(inv - 1.0) > 1e-12:
         raise ValueError(f"exponents are not conjugate: 1/p + 1/q = {inv}")
-    if phi.dim != psi.dim:
-        raise DimensionMismatch("dims differ")
-    upper = min(phi.max_degree, psi.max_degree)
-    if truncation is not None:
-        upper = min(upper, truncation)
-    total = 0.0
-    for d in sorted(set(phi.components) & set(psi.components)):
-        if d <= upper:
-            total += abs(np.vdot(phi.components[d], psi.components[d]))
+    terms, _ = degree_terms(phi, psi, truncation)
+    upper = len(terms) - 1
+    total = float(np.abs(terms).sum())
     np_ = hoelder_norm(phi, p, upper).value
     nq_ = hoelder_norm(psi, q, upper).value
     return HoelderCheck(slack=np_ * nq_ - total, sum_abs=total, norm_p=np_, norm_q=nq_)

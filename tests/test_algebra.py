@@ -11,24 +11,12 @@ import numpy as np
 import pytest
 
 import fockpair as fp
-from fockpair import algebra
+from fockpair import suites
+from fockpair.suites import coeff_gap, random_element
 
 
 def rnd_vec(rng, m):
     return rng.standard_normal(m) + 1j * rng.standard_normal(m)
-
-
-def rnd_element(rng, m, horizon, truncated=False):
-    comps = {
-        d: rng.standard_normal(algebra.basis_size(m, d)) + 1j * rng.standard_normal(algebra.basis_size(m, d))
-        for d in range(horizon + 1)
-    }
-    return fp.GradedElement(m, comps, horizon, truncated)
-
-
-def coeff_gap(a, b):
-    top = max(a.max_degree, b.max_degree)
-    return max(float(np.linalg.norm(a.component(d) - b.component(d))) for d in range(top + 1))
 
 
 # ---------------------------------------------------------------- basis
@@ -83,7 +71,8 @@ def test_disjoint_degrees_orthogonal():
 def test_inner_product_conjugate_linear_in_first_slot():
     rng = np.random.default_rng(5)
     m = 3
-    a, b = rnd_element(rng, m, 3), rnd_element(rng, m, 3)
+    a = random_element(rng, m, 3, 1.0, truncated=False)
+    b = random_element(rng, m, 3, 1.0, truncated=False)
     s = 0.7 - 1.3j
     lhs = fp.inner_product(fp.scale(a, s), b)
     assert lhs == pytest.approx(np.conj(s) * fp.inner_product(a, b), rel=1e-12)
@@ -126,17 +115,7 @@ def test_orthonormal_basis_gram_identity():
 
 
 def test_oracle_equivalence_random():
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(500):
-        m = int(rng.integers(1, 4))
-        d = int(rng.integers(1, 6))
-        xs = [rnd_vec(rng, m) for _ in range(d)]
-        ys = [rnd_vec(rng, m) for _ in range(d)]
-        via_perm = fp.permanent_inner_oracle(xs, ys)
-        via_coord = fp.inner_product(fp.embed_product(xs), fp.embed_product(ys))
-        worst = max(worst, abs(via_perm - via_coord) / max(1.0, abs(via_perm)))
-    assert worst < 1e-10
+    assert suites.worst(suites.inner_product_vs_permanent, np.random.default_rng(42), 500) < 1e-10
 
 
 def test_power_inner_product_formula():
@@ -173,7 +152,7 @@ def test_embed_product_small_cases():
 
 def test_product_unit_and_v1_squared():
     rng = np.random.default_rng(1)
-    b = rnd_element(rng, 2, 4)
+    b = random_element(rng, 2, 4, 1.0, truncated=False)
     assert coeff_gap(fp.symmetric_product(fp.vacuum(2), b), b) < 1e-15
 
     v1 = fp.from_vector(np.eye(2)[0])
@@ -196,20 +175,13 @@ def test_repeated_product_matches_embed():
 
 
 def test_product_commutative_associative():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        m = int(rng.integers(1, 4))
-        a, b, c = (rnd_element(rng, m, 2) for _ in range(3))
-        assert coeff_gap(fp.symmetric_product(a, b), fp.symmetric_product(b, a)) < 1e-12
-        lhs = fp.symmetric_product(fp.symmetric_product(a, b), c)
-        rhs = fp.symmetric_product(a, fp.symmetric_product(b, c))
-        assert coeff_gap(lhs, rhs) < 1e-12
+    assert suites.worst(suites.product_commutative_associative, np.random.default_rng(11), 10) < 1e-12
 
 
 def test_product_cap_flags_truncation():
     rng = np.random.default_rng(2)
-    a = rnd_element(rng, 2, 3)
-    b = rnd_element(rng, 2, 3)
+    a = random_element(rng, 2, 3, 1.0, truncated=False)
+    b = random_element(rng, 2, 3, 1.0, truncated=False)
     full = fp.symmetric_product(a, b)
     assert not full.truncated and full.max_degree == 6
     capped = fp.symmetric_product(a, b, cap=4)
@@ -246,34 +218,12 @@ def test_coproduct_guard():
 
 
 def test_antidual_product_matches_symmetric_product():
-    rng = np.random.default_rng(21)
-    for _ in range(25):
-        m = int(rng.integers(1, 4))
-        a = rnd_element(rng, m, int(rng.integers(0, 4)))
-        b = rnd_element(rng, m, int(rng.integers(0, 4)))
-        assert coeff_gap(fp.antidual_product(a, b), fp.symmetric_product(a, b)) < 1e-12
+    assert suites.worst(suites.product_routes_agree, np.random.default_rng(21), 25) < 1e-12
 
 
 def test_antidual_product_defining_identity():
     # [ab](phi) computed through the coproduct expansion, from the definition
-    rng = np.random.default_rng(33)
-    for _ in range(12):
-        m = int(rng.integers(1, 3))
-        a = rnd_element(rng, m, 3)
-        b = rnd_element(rng, m, 3)
-        phi = rnd_element(rng, m, 6)
-        lhs = fp.evaluate(fp.antidual_product(a, b), phi)
-        rhs = 0j
-        for d in phi.nonzero_degrees():
-            for entry, coef in zip(fp.enumerate_basis(m, d), phi.components[d]):
-                inner = 0j
-                for bpart, cpart, w in fp.coproduct_oracle(entry):
-                    db, dc = sum(bpart), sum(cpart)
-                    fa = a.component(db)[fp.enumerate_basis(m, db).index(bpart)]
-                    fb = b.component(dc)[fp.enumerate_basis(m, dc).index(cpart)]
-                    inner += w * fp.normalization(bpart) * fp.normalization(cpart) * fa * fb
-                rhs += np.conj(coef) * inner / fp.normalization(entry)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+    assert suites.worst(suites.coproduct_evaluation_identity, np.random.default_rng(33), 12) <= 1e-10
 
 
 def test_gaussian_truncations_multiply_like_exponentials():
@@ -296,11 +246,11 @@ def test_gaussian_truncations_multiply_like_exponentials():
 def test_evaluate_vacuum_and_embedded():
     rng = np.random.default_rng(13)
     m = 2
-    psi = rnd_element(rng, m, 4)
+    psi = random_element(rng, m, 4, 1.0, truncated=False)
     one = fp.vacuum(m)
     assert fp.evaluate(psi, one) == pytest.approx(np.conj(1.0) * psi.component(0)[0])
 
-    phi = rnd_element(rng, m, 3)
+    phi = random_element(rng, m, 3, 1.0, truncated=False)
     assert fp.evaluate(psi, phi) == pytest.approx(fp.inner_product(phi, psi), rel=1e-12)
 
 
@@ -315,12 +265,12 @@ def test_evaluate_quadratic_eigenvalue():
 
 def test_evaluate_horizon_guard():
     rng = np.random.default_rng(17)
-    psi = rnd_element(rng, 2, 3, truncated=True)
-    phi = rnd_element(rng, 2, 5)
+    psi = random_element(rng, 2, 3, 1.0)
+    phi = random_element(rng, 2, 5, 1.0, truncated=False)
     with pytest.raises(fp.InsufficientHorizon):
         fp.evaluate(psi, phi)
     with pytest.raises(ValueError):
-        fp.evaluate(psi, rnd_element(rng, 2, 2, truncated=True))
+        fp.evaluate(psi, random_element(rng, 2, 2, 1.0))
 
 
 def test_dimension_mismatch_raises():
@@ -343,8 +293,8 @@ def test_component_shape_validation():
 
 def test_add_and_scale():
     rng = np.random.default_rng(19)
-    a = rnd_element(rng, 2, 3)
-    b = rnd_element(rng, 2, 5)
+    a = random_element(rng, 2, 3, 1.0, truncated=False)
+    b = random_element(rng, 2, 5, 1.0, truncated=False)
     tot = fp.add(a, b)
     assert tot.max_degree == 5
     for d in range(6):
@@ -356,8 +306,8 @@ def test_add_and_scale():
 
 def test_add_truncation_horizon():
     rng = np.random.default_rng(23)
-    trunc = rnd_element(rng, 2, 3, truncated=True)
-    poly = rnd_element(rng, 2, 5)
+    trunc = random_element(rng, 2, 3, 1.0)
+    poly = random_element(rng, 2, 5, 1.0, truncated=False)
     tot = fp.add(trunc, poly)
     # the truncated summand caps trustworthy degrees at its own horizon
     assert tot.truncated and tot.max_degree == 3

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fockpair as fp
+from fockpair import suites
 
 
 def rnd_vec(rng, m):
@@ -61,24 +62,8 @@ def test_takagi_special_cases():
 
 
 def test_takagi_random_reconstruction():
-    rng = np.random.default_rng(123)
-    worst_recon = 0.0
-    worst_unit = 0.0
-    worst_sv = 0.0
-    for _ in range(1000):
-        m = int(rng.integers(1, 7))
-        z = fp.random_symmetric(m, rng)
-        fac = fp.takagi(z)
-        worst_recon = max(worst_recon, float(np.abs(fac.reconstruct() - z.matrix).max()))
-        worst_unit = max(
-            worst_unit, float(np.abs(fac.unitary.conj().T @ fac.unitary - np.eye(m)).max())
-        )
-        sv = np.linalg.svd(z.matrix, compute_uv=False)
-        worst_sv = max(worst_sv, float(np.abs(np.array(fac.values) - sv).max()))
-        assert all(a >= b - 1e-14 for a, b in zip(fac.values, fac.values[1:]))
-    assert worst_recon < 1e-10
-    assert worst_unit < 1e-10
-    assert worst_sv < 1e-10
+    # reconstruction, unitarity, singular values and descending order
+    assert suites.worst(suites.takagi_reconstruction, np.random.default_rng(123), 1000) < 1e-10
 
 
 def test_takagi_columns_are_antilinear_eigenvectors():
@@ -183,12 +168,7 @@ def test_map_from_quadratic_rejects_wrong_support():
 
 
 def test_roundtrip_random():
-    rng = np.random.default_rng(43)
-    for _ in range(40):
-        m = int(rng.integers(1, 6))
-        z = fp.random_symmetric(m, rng)
-        back = fp.map_from_quadratic(fp.quadratic_from_map(z))
-        assert np.abs(back.matrix - z.matrix).max() < 1e-12
+    assert suites.worst(suites.quadratic_correspondence_roundtrip, np.random.default_rng(43), 40) < 1e-12
 
 
 # ---------------------------------------------------------------- composition
@@ -218,19 +198,31 @@ def test_compose_matches_pointwise_action():
 # ---------------------------------------------------------------- siegel identity
 
 
+def siegel_identity_residual(x, y, v):
+    """Deviation in the algebraic identity linking I - YX to the two defects.
+
+    2 Re <v|(I - YX) v> = (|v|^2 - |Xv|^2) + (|v|^2 - |Yv|^2) + |Xv - Yv|^2
+    holds for any pair of symmetric antilinear maps.
+    """
+    v = np.asarray(v, dtype=complex).ravel()
+    xv = x.apply(v)
+    yv = y.apply(v)
+    lhs = 2.0 * np.real(np.vdot(v, v - fp.compose(y, x) @ v))
+    nv = float(np.vdot(v, v).real)
+    rhs = (nv - float(np.vdot(xv, xv).real)) + (nv - float(np.vdot(yv, yv).real))
+    rhs += float(np.vdot(xv - yv, xv - yv).real)
+    return abs(lhs - rhs)
+
+
 def test_siegel_identity_trivial():
     zero = fp.AntilinearSymmetricMap(np.zeros((2, 2)))
     v = np.array([1.0, 0.0])
-    from fockpair.antilinear import siegel_identity_residual
-
     assert siegel_identity_residual(zero, zero, v) < 1e-15
     t = np.eye(2) - fp.compose(zero, zero)
     assert np.vdot(v, t @ v).real * 2 == pytest.approx(2.0)
 
 
 def test_siegel_identity_random():
-    from fockpair.antilinear import siegel_identity_residual
-
     rng = np.random.default_rng(59)
     worst = 0.0
     for _ in range(200):

@@ -83,6 +83,21 @@ def test_pair_series_scaled(files, capsys):
     assert doc["result"]["value"]["re"] == pytest.approx(want.real, rel=1e-8)
 
 
+def test_pair_t_means_the_same_for_series_and_closed(files, capsys):
+    z = write_matrix(files["dir"] / "half.json", [[0.5]])
+    values = {}
+    for method in ("series", "closed"):
+        code, doc = run_cli(capsys, ["pair", "--x", z, "--y", z, "--method", method, "--t", "0.9"])
+        assert code == 0 and doc["config"]["t"] == 0.9
+        values[method] = doc["result"]["value"]["re"]
+    assert values["series"] == pytest.approx(values["closed"], rel=1e-10)
+    for t in ("-0.5", "1.5"):
+        code, _ = run_cli(capsys, ["pair", "--x", z, "--y", z, "--method", "closed", "--t", t])
+        assert code == 1
+    code, doc = run_cli(capsys, ["pair", "--x", z, "--y", z, "--method", "abel", "--t", "0.9"])
+    assert code == 1 and doc is None
+
+
 def test_norm_closed_and_series(files, capsys):
     code, doc = run_cli(capsys, ["norm", "--z", files["diag06"], "--method", "closed"])
     assert code == 0

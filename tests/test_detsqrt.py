@@ -8,17 +8,8 @@ import numpy as np
 import pytest
 
 import fockpair as fp
-from fockpair.detsqrt import segment_branch_check
-
-
-def random_member(rng, m, spread=3.0):
-    # P + iH with P positive definite Hermitian puts the numerical range
-    # in the open right half-plane
-    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    p = a @ a.conj().T + 0.05 * np.eye(m)
-    h = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    h = (h + h.conj().T) / 2
-    return p + 1j * spread * h
+from fockpair import suites
+from fockpair.suites import random_gv_member
 
 
 def test_in_gv_examples():
@@ -59,33 +50,20 @@ def test_spectra_in_right_half_plane():
     rng = np.random.default_rng(11)
     for _ in range(1000):
         m = int(rng.integers(1, 7))
-        t = random_member(rng, m)
+        t = random_gv_member(rng, m)
         assert fp.in_gv(t)
         assert np.linalg.eigvals(t).real.min() > 0
 
 
 def test_square_identity_and_segment_continuity():
     rng = np.random.default_rng(17)
-    worst_sq = 0.0
-    worst_jump = 0.0
-    worst_cont = 0.0
-    for _ in range(200):
-        m = int(rng.integers(1, 7))
-        t = random_member(rng, m)
-        root = fp.det_sqrt(t)
-        det = np.linalg.det(t)
-        worst_sq = max(worst_sq, abs(root * root - det) / max(1.0, abs(det)))
-        jump, cont = segment_branch_check(t)
-        worst_jump = max(worst_jump, jump)
-        worst_cont = max(worst_cont, cont)
-    assert worst_sq < 1e-10
-    assert worst_jump < 0.5
-    assert worst_cont < 1e-8
+    assert suites.worst(suites.det_sqrt_square_identity, rng, 200) < 1e-10
+    assert suites.worst(suites.det_sqrt_segment_continuity, rng, 200) < 1e-8
 
 
 def test_segment_stays_inside_convex_domain():
     # convexity: the whole segment [I, T] passes the membership test
     rng = np.random.default_rng(23)
-    t = random_member(rng, 5)
+    t = random_gv_member(rng, 5)
     for s in np.linspace(0.0, 1.0, 33):
         assert fp.in_gv(np.eye(5) + s * (t - np.eye(5)))

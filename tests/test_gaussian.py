@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fockpair as fp
+from fockpair import suites
 from fockpair.antilinear import random_symmetric
 from fockpair.pairing import degree_terms
 
@@ -16,10 +17,6 @@ def seed_from(a):
 
 def random_seed(rng, m, norm):
     return fp.GaussianSeed.from_map(random_symmetric(m, rng, norm=norm))
-
-
-def norm_sq_series(g):
-    return sum(float(np.vdot(g.component(d), g.component(d)).real) for d in g.degrees())
 
 
 def test_zero_seed_gives_vacuum():
@@ -63,15 +60,7 @@ def test_norm_sq_closed_boundary_raises():
 
 
 def test_norm_series_matches_closed():
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(25):
-        m = int(rng.integers(1, 4))
-        seed = random_seed(rng, m, norm=rng.uniform(0.2, 0.8))
-        g = fp.gaussian_series(seed, cap=120)
-        closed = fp.norm_sq_closed(seed)
-        worst = max(worst, abs(norm_sq_series(g) - closed) / closed)
-    assert worst < 1e-8
+    assert suites.worst(suites.norm_sq_series_vs_closed, np.random.default_rng(7), 25) < 1e-8
 
 
 def test_pair_closed_diagonal_is_norm():

@@ -6,49 +6,24 @@ import numpy as np
 import pytest
 
 import fockpair as fp
-from fockpair.algebra import basis_size, evaluate, symmetric_power_matrix
+from fockpair import suites
+from fockpair.algebra import basis_size, symmetric_power_matrix
 from fockpair.pairing import PairingReport, _scaled, _sum_weighted, degree_terms, wynn_epsilon
-
-
-def rnd_poly(rng, m, top, decay=0.6):
-    comps = {}
-    for d in range(top + 1):
-        v = rng.standard_normal(basis_size(m, d)) + 1j * rng.standard_normal(basis_size(m, d))
-        comps[d] = decay**d * v
-    return fp.GradedElement(m, comps, max_degree=top, truncated=False)
-
-
-def rnd_tail(rng, m, horizon, decay=0.5):
-    comps = {}
-    for d in range(horizon + 1):
-        v = rng.standard_normal(basis_size(m, d)) + 1j * rng.standard_normal(basis_size(m, d))
-        comps[d] = decay**d * v
-    return fp.GradedElement(m, comps, max_degree=horizon, truncated=True)
+from fockpair.suites import random_element
 
 
 # ---------------------------------------------------------------- series
 
 
 def test_pairing_1_polynomial_is_evaluation():
-    rng = np.random.default_rng(31)
-    for _ in range(30):
-        m = int(rng.integers(1, 4))
-        phi = rnd_poly(rng, m, int(rng.integers(0, 6)))
-        psi = rnd_tail(rng, m, 40)
-        rep = fp.pairing_1(phi, psi)
-        assert rep.converged and rep.verdict == "converged"
-        assert rep.tail_estimate == 0.0
-        want = evaluate(psi, phi)
-        assert abs(rep.value - want) <= 1e-12 * max(1.0, abs(want))
-        # second-slot polynomial: conjugate evaluation
-        rep2 = fp.pairing_1(psi, phi)
-        assert abs(rep2.value - np.conj(evaluate(psi, phi))) <= 1e-12 * max(1.0, abs(want))
+    # exact and converged in either slot; the second slot gives the conjugate
+    assert suites.worst(suites.polynomial_pairing_is_evaluation, np.random.default_rng(31), 30) <= 1e-12
 
 
 def test_pairing_1_sesquilinear_and_symmetric():
     rng = np.random.default_rng(33)
     m = 2
-    p1, p2, q = (rnd_poly(rng, m, 5) for _ in range(3))
+    p1, p2, q = (random_element(rng, m, 5, truncated=False) for _ in range(3))
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
     combo = fp.add(fp.scale(p1, a), fp.scale(p2, b))
     lhs = fp.pairing_1(combo, q).value
@@ -74,32 +49,24 @@ def test_pairing_t_parameter_validation():
 
 def test_degree_terms_horizon_guard():
     rng = np.random.default_rng(35)
-    tall = rnd_poly(rng, 2, 12)
-    short = rnd_tail(rng, 2, 6)
+    tall = random_element(rng, 2, 12, truncated=False)
+    short = random_element(rng, 2, 6, 0.5)
     with pytest.raises(fp.InsufficientHorizon):
         degree_terms(tall, short)
+    with pytest.raises(fp.InsufficientHorizon):
+        fp.hoelder_pairing_check(tall, short, 2.0, 2.0)
 
 
 # ---------------------------------------------------------------- rebalance / hoelder
 
 
 def test_number_operator_rebalance():
-    rng = np.random.default_rng(37)
-    for _ in range(40):
-        m = int(rng.integers(1, 4))
-        phi = rnd_poly(rng, m, 6)
-        psi = rnd_poly(rng, m, 6)
-        base = fp.pairing_1(phi, psi).value
-        for r in (-2.0, -1.0, 0.5, 1.0, 2.0):
-            moved = fp.pairing_1(
-                fp.number_op_pow(phi, -r), fp.number_op_pow(psi, r)
-            ).value
-            assert abs(moved - base) <= 1e-12 * max(1.0, abs(base))
+    assert suites.worst(suites.number_operator_rebalance, np.random.default_rng(37), 40) <= 1e-12
 
 
 def test_number_op_pow_degree_action():
     rng = np.random.default_rng(39)
-    phi = rnd_poly(rng, 2, 4)
+    phi = random_element(rng, 2, 4, truncated=False)
     out = fp.number_op_pow(phi, 1.5)
     assert np.allclose(out.component(0), phi.component(0))  # degree zero is fixed
     for d in range(1, 5):
@@ -108,12 +75,11 @@ def test_number_op_pow_degree_action():
 
 def test_hoelder_slack_nonnegative():
     rng = np.random.default_rng(41)
-    pairs = ((2.0, 2.0), (3.0, 1.5), (1.0, math.inf), (math.inf, 1.0), (4.0, 4.0 / 3.0))
     for _ in range(40):
         m = int(rng.integers(1, 4))
-        phi = rnd_poly(rng, m, 6)
-        psi = rnd_poly(rng, m, 6)
-        for p, q in pairs:
+        phi = random_element(rng, m, 6, truncated=False)
+        psi = random_element(rng, m, 6, truncated=False)
+        for p, q in suites.HOELDER_EXPONENTS:
             chk = fp.hoelder_pairing_check(phi, psi, p, q)
             assert chk.slack >= -1e-12
             assert chk.sum_abs >= abs(fp.pairing_1(phi, psi).value) - 1e-10
@@ -130,7 +96,7 @@ def test_hoelder_norm_values():
     for p in (1.0, 2.0, math.inf):
         assert fp.hoelder_norm(vac, p).value == pytest.approx(1.0)
     rng = np.random.default_rng(43)
-    phi = rnd_poly(rng, 2, 5)
+    phi = random_element(rng, 2, 5, truncated=False)
     fock = math.sqrt(sum(float(np.vdot(phi.component(d), phi.component(d)).real) for d in range(6)))
     assert fp.hoelder_norm(phi, 2.0).value == pytest.approx(fock, rel=1e-12)
     # dim-one Gaussian: squared 2-norm is the central-binomial series
@@ -149,13 +115,9 @@ def test_graded_unitary_invariance():
     for _ in range(25):
         m = int(rng.integers(1, 4))
         top = 5
-        phi = rnd_poly(rng, m, top)
-        psi = rnd_poly(rng, m, top)
-        blocks = {}
-        for d in range(top + 1):
-            n = basis_size(m, d)
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            blocks[d] = q
+        phi = random_element(rng, m, top, truncated=False)
+        psi = random_element(rng, m, top, truncated=False)
+        blocks = {d: suites.random_unitary(rng, basis_size(m, d)) for d in range(top + 1)}
         base = fp.pairing_1(phi, psi).value
         moved = fp.pairing_1(
             fp.graded_unitary_apply(blocks, phi), fp.graded_unitary_apply(blocks, psi)
@@ -166,10 +128,10 @@ def test_graded_unitary_invariance():
 def test_functorial_lift_invariance():
     rng = np.random.default_rng(47)
     m, top = 3, 5
-    u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    u = suites.random_unitary(rng, m)
     blocks = {d: symmetric_power_matrix(u, d) for d in range(top + 1)}
-    phi = rnd_poly(rng, m, top)
-    psi = rnd_poly(rng, m, top)
+    phi = random_element(rng, m, top, truncated=False)
+    psi = random_element(rng, m, top, truncated=False)
     base = fp.pairing_1(phi, psi).value
     moved = fp.pairing_1(
         fp.graded_unitary_apply(blocks, phi), fp.graded_unitary_apply(blocks, psi)
@@ -179,7 +141,7 @@ def test_functorial_lift_invariance():
 
 def test_graded_unitary_apply_errors():
     rng = np.random.default_rng(49)
-    phi = rnd_poly(rng, 2, 3)
+    phi = random_element(rng, 2, 3, truncated=False)
     good = {d: np.eye(basis_size(2, d)) for d in range(4)}
     missing = {d: good[d] for d in (0, 1, 3)}
     with pytest.raises(ValueError):
@@ -198,43 +160,22 @@ def test_graded_unitary_apply_errors():
 
 
 def test_abel_consistent_with_convergent_series():
-    rng = np.random.default_rng(51)
-    cfg = fp.RegularizationConfig()
-    for _ in range(10):
-        m = int(rng.integers(1, 3))
-        phi = rnd_tail(rng, m, cfg.max_degree, decay=rng.uniform(0.3, 0.6))
-        psi = rnd_tail(rng, m, cfg.max_degree, decay=rng.uniform(0.3, 0.6))
-        ser = fp.pairing_1(phi, psi, cfg)
-        abel = fp.abel_pairing(phi, psi, cfg)
-        assert ser.converged and abel.converged
-        assert abs(ser.value - abel.value) <= 10 * cfg.tolerance
+    # both converge and agree within 10 * tolerance
+    assert suites.worst(suites.abel_consistent_with_series, np.random.default_rng(51), 10) <= 1.0
 
 
 def test_pringsheim_directions():
-    cfg = fp.RegularizationConfig()
-    n = cfg.max_degree + 1
-    conv = fp.sequence_element(0.5 ** np.arange(n))
-    ser = fp.pairing_1(conv, conv, cfg)
-    abel = fp.abel_pairing(conv, conv, cfg)
-    want = 1.0 / (1.0 - 0.25)
-    assert ser.converged and abs(ser.value - want) <= 1e-8
-    assert abel.converged and abs(abel.value - want) <= 10 * cfg.tolerance
-    ones = fp.sequence_element(np.ones(n))
-    assert fp.pairing_1(ones, ones, cfg).verdict == "divergent"
-    assert fp.abel_pairing(ones, ones, cfg).verdict == "divergent"
+    # 0.5^n: both converge to 4/3; ones: both divergent
+    assert suites.pringsheim_self_pairing(None) == 0.0
 
 
 def test_sequence_demo_limits_and_midpoint():
-    before, after = fp.sequence_noninvariance_demo()
-    assert before.converged and after.converged
-    assert before.value == pytest.approx(0.5, abs=1e-6)
-    assert after.value == pytest.approx(1.5, abs=1e-6)
+    assert suites.sequence_swap_limits(None) <= 1e-6
+    assert suites.sequence_mid_t_value(None) <= 1e-10
     cfg = fp.RegularizationConfig()
     n = cfg.max_degree - (cfg.max_degree % 2)
     lam = np.ones(n + 1)
     mu = np.array([(-1.0) ** d for d in range(n + 1)])
-    mid = fp.pairing_t(fp.sequence_element(lam), fp.sequence_element(mu), 0.5, cfg)
-    assert mid.value == pytest.approx(0.8, abs=1e-10)
     mid2 = fp.pairing_t(
         fp.sequence_element(fp.pair_swap(lam)),
         fp.sequence_element(fp.pair_swap(mu)),
@@ -252,10 +193,7 @@ def test_pair_swap_structure():
 
 
 def test_divergence_demo_ratios():
-    for m in (1, 2, 4):
-        ratios = fp.divergence_demo(m)
-        for n, r in enumerate(ratios):
-            assert r == pytest.approx((n + m / 2.0) / (n + 1.0), rel=1e-9)
+    assert suites.conjugation_term_ratios(None) <= 1e-9
 
 
 def test_wynn_epsilon_rejects_bad_lengths():
@@ -469,8 +407,6 @@ def test_regularization_config_validation():
         fp.RegularizationConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         fp.RegularizationConfig(acceleration="pade")
-    with pytest.raises(ValueError):
-        fp.RegularizationConfig(t_grid_k=(5, 3))
     cfg = fp.RegularizationConfig()
     grid = cfg.t_grid()
     assert grid[0] == pytest.approx(1.0 - 2.0**-3)
@@ -489,5 +425,5 @@ def test_report_fields_round_out():
     conv = fp.sequence_element(0.5 ** np.arange(n))
     rep_a = fp.abel_pairing(conv, conv, cfg)
     assert rep_a.method == "abel"
-    assert len(rep_a.t_grid) == cfg.t_grid_k[1] - cfg.t_grid_k[0] + 1
+    assert rep_a.t_grid == tuple(cfg.t_grid())
     assert rep_a.extrapolation_residual <= cfg.tolerance
