@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import GradedElement, basis_size, enumerate_basis
 from .errors import DimensionMismatch, DomainError
 
 SYMMETRY_TOL = 1e-12
-_CLUSTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -30,7 +28,9 @@ class AntilinearSymmetricMap:
         a = np.ascontiguousarray(self.matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch("square matrix required")
-        dev = np.abs(a - a.T).max() if a.size else 0.0
+        if a.shape[0] < 1:
+            raise DimensionMismatch("dim must be >= 1")
+        dev = np.abs(a - a.T).max()
         if dev > SYMMETRY_TOL * max(1.0, np.abs(a).max()):
             raise ValueError(f"matrix is not symmetric (deviation {dev:.3e})")
         a.flags.writeable = False
@@ -51,7 +51,7 @@ def conjugation(m: int) -> AntilinearSymmetricMap:
 
 @dataclass(frozen=True)
 class TakagiFactorization:
-    """A = unitary @ diag(values) @ unitary.T, values descending >= 0."""
+    """A = unitary @ diag(values) @ unitary.T, values descending (a zero may read -1e-16)."""
 
     unitary: np.ndarray
     values: np.ndarray
@@ -61,39 +61,32 @@ class TakagiFactorization:
 
 
 def takagi(zmap: AntilinearSymmetricMap) -> TakagiFactorization:
-    """Takagi factorization via SVD with per-cluster phase correction.
+    """Takagi factorization from one eigendecomposition of a real form.
 
-    With A = P diag(s) Q^dagger, the matrix G = Q^dagger conj(P) is unitary,
-    block-diagonal over clusters of equal singular values, and symmetric on
-    clusters with s > 0.  Taking R = sqrtm(G) per cluster (identity on the
-    kernel cluster) gives A = (P R) diag(s) (P R)^T.  Repeated singular
-    values are grouped with a relative threshold so the block square root
-    also serves as the re-orthogonalization within degenerate clusters.
+    For A = R + iJ, u = p + iq solves A conj(u) = s u exactly when (p, q) is
+    an eigenvector of M = [[R, J], [J, -R]] with eigenvalue s.  The spectrum
+    of M is +-s_k, the partner of (p, q) being (-q, p), that is i u, so the m
+    largest eigenpairs give s and U.  M is stored with p and q interleaved, as
+    numpy lays out complex numbers: rows 2i and 2i + 1 are rows i of A and of
+    -iA read as real pairs, so each eigenvector read as complex is u.
+
+    Columns with s_k > 0 come out orthonormal.  On a kernel, or where a tiny
+    s_k meets -s_k, eigh may mix a column with its partner i u; the polar
+    factor (nearest unitary) of U keeps the orthonormal columns and repairs
+    the rest, at no cost to A = U diag(s) U^T as their s_k is zero or tiny.
     """
     a = zmap.matrix
     m = a.shape[0]
-    u, s, vh = np.linalg.svd(a)
-    g = vh @ np.conj(u)
-    r = np.zeros((m, m), dtype=complex)
-    scale = max(s[0] if m else 0.0, 1.0)
-    i = 0
-    while i < m:
-        j = i + 1
-        while j < m and (s[i] - s[j]) <= _CLUSTER_TOL * scale:
-            j += 1
-        if s[i] <= 1e-14 * scale:
-            r[i:j, i:j] = np.eye(j - i)
-        else:
-            r[i:j, i:j] = scipy.linalg.sqrtm(g[i:j, i:j])
-        i = j
-    unitary = u @ r
-    return TakagiFactorization(unitary=unitary, values=s.copy())
+    h = np.empty((m, 2, m), dtype=complex)
+    h[:, 0], h[:, 1] = a, -1j * a
+    s, v = np.linalg.eigh(h.view(float).reshape(2 * m, 2 * m))
+    u = v[:, : m - 1 : -1].T.copy().view(complex).T  # the m largest, descending
+    w, _, vh = np.linalg.svd(u)
+    return TakagiFactorization(unitary=w @ vh, values=s[: m - 1 : -1])
 
 
 def operator_norm(zmap: AntilinearSymmetricMap) -> float:
     """Largest singular value of the representing matrix."""
-    if zmap.dim == 0:
-        return 0.0
     return float(np.linalg.svd(zmap.matrix, compute_uv=False)[0])
 
 

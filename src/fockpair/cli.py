@@ -118,11 +118,7 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def _config_from_args(args) -> RegularizationConfig:
-    return RegularizationConfig(
-        tolerance=args.tol,
-        max_degree=args.max_degree,
-        acceleration=args.acceleration,
-    )
+    return RegularizationConfig(tolerance=args.tol, max_degree=args.max_degree)
 
 
 def _seed_from_file(path: str) -> GaussianSeed:
@@ -136,8 +132,7 @@ def _cmd_pair(args) -> int:
     cfg = _config_from_args(args)
     sx = _seed_from_file(args.x)
     sy = _seed_from_file(args.y)
-    config = {"method": args.method, "t": args.t, "tolerance": cfg.tolerance, "max_degree": cfg.max_degree,
-              "acceleration": cfg.acceleration}
+    config = {"method": args.method, "t": args.t, "tolerance": cfg.tolerance, "max_degree": cfg.max_degree}
     if args.method == "closed":
         t = 1.0 if args.t is None else args.t
         if t <= 0.0:
@@ -161,8 +156,7 @@ def _cmd_norm(args) -> int:
     t0 = time.perf_counter()
     cfg = _config_from_args(args)
     sz = _seed_from_file(args.z)
-    config = {"method": args.method, "tolerance": cfg.tolerance, "max_degree": cfg.max_degree,
-              "acceleration": cfg.acceleration}
+    config = {"method": args.method, "tolerance": cfg.tolerance, "max_degree": cfg.max_degree}
     if args.method == "closed":
         value = gaussian.norm_sq_closed(sz)
         _emit("norm", config, {"norm_sq": value, "method": "closed_form"}, t0)
@@ -236,8 +230,6 @@ def _cmd_demo(args) -> int:
 def _add_series_flags(p) -> None:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-degree", type=int, default=200)
-    p.add_argument("--acceleration", choices=("none", "epsilon_algorithm"),
-                   default="epsilon_algorithm")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -44,8 +44,7 @@ class GaussianSeed:
 
     @property
     def norm(self) -> float:
-        vals = self.factorization.values
-        return float(vals[0]) if len(vals) else 0.0
+        return float(self.factorization.values[0])
 
 
 def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP, budget: int = _BUDGET) -> GradedElement:

@@ -13,9 +13,9 @@ Verdict rules, in the order applied to the nonzero terms:
     20-term window past degree 50 are declared divergent;
   * a geometric tail (max ratio rho < 1 over the last 10 terms, all of them
     below tolerance * (1 - rho)) converges with tail |last| * rho / (1-rho);
-  * otherwise, if acceleration is enabled, the epsilon algorithm is applied
-    to the partial sums and convergence is claimed only when the tableau
-    residual and a shortened-window cross-check both sit below tolerance.
+  * otherwise the epsilon algorithm is applied to the partial sums and
+    convergence is claimed only when the tableau residual and a
+    shortened-window cross-check both sit below tolerance.
 
 The plain, scaled and Abel pairings share one weighted-sum kernel: a term
 matrix with one row per t (a single row for the plain and scaled pairings,
@@ -54,13 +54,10 @@ class RegularizationConfig:
 
     tolerance: float = 1e-8
     max_degree: int = 200
-    acceleration: str = "epsilon_algorithm"  # or "none"
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.acceleration not in ("none", "epsilon_algorithm"):
-            raise ValueError(f"unknown acceleration {self.acceleration!r}")
 
     def t_grid(self) -> list[float]:
         return [1.0 - 2.0 ** (-k) for k in _T_GRID_K]
@@ -249,8 +246,8 @@ def _rules(terms: np.ndarray, degrees: np.ndarray, finite: bool, cfg: Regulariza
     """Verdict of one weighted term sequence by the rules that need no table.
 
     An undecided outcome comes with the partial sums that the epsilon
-    algorithm should still try, or None when acceleration is off or the
-    sequence is too short for it.
+    algorithm should still try, or None when the sequence is too short for
+    it.
     """
     nz = np.flatnonzero(terms)
     used = int(degrees[-1]) if len(degrees) else 0
@@ -290,7 +287,7 @@ def _rules(terms: np.ndarray, degrees: np.ndarray, finite: bool, cfg: Regulariza
                 return _SeriesOutcome(total, "converged", True, tail, int(wd[-1])), None
 
     undecided = _SeriesOutcome(None, "undecided", False, math.inf, int(wd[-1]))
-    if cfg.acceleration == "epsilon_algorithm" and len(w) >= 8:
+    if len(w) >= 8:
         return undecided, np.cumsum(w[:_EPS_TERMS])
     return undecided, None
 
@@ -379,33 +376,25 @@ def abel_pairing(phi: GradedElement, psi: GradedElement, cfg: RegularizationConf
     values: list[complex] = []
     used = 0
     worst_tail = 0.0
+    verdict = failed_t = None
     for t, out in zip(grid, _sum_weighted(_scaled(terms, degrees, grid), degrees, finite, cfg)):
         used = max(used, out.used_degree)
-        if out.verdict == "divergent":
-            return PairingReport(
-                value=None, method="abel", verdict="divergent", converged=False,
-                truncation_degree=used, tail_estimate=math.inf,
-                t_grid=tuple(grid), failed_t=t,
-            )
         if not out.converged:
-            return PairingReport(
-                value=None, method="abel", verdict="undecided", converged=False,
-                truncation_degree=used, tail_estimate=math.inf,
-                t_grid=tuple(grid), failed_t=t,
-            )
+            verdict, failed_t = out.verdict, t
+            break
         worst_tail = max(worst_tail, out.tail)
         values.append(out.value)
-
     # unbounded growth toward t = 1 means the Abel limit does not exist
-    mags = np.abs(np.array(values))
-    if len(mags) >= 6:
-        lastsix = mags[-6:]
-        if np.all(np.diff(lastsix) > 0) and lastsix[-1] > 4.0 * (lastsix[0] + 1e-30):
-            return PairingReport(
-                value=None, method="abel", verdict="divergent", converged=False,
-                truncation_degree=used, tail_estimate=math.inf,
-                t_grid=tuple(grid), failed_t=grid[-1],
-            )
+    last = np.abs(np.array(values[-6:]))
+    growing = len(last) == 6 and np.all(np.diff(last) > 0) and last[-1] > 4.0 * (last[0] + 1e-30)
+    if failed_t is None and growing:
+        verdict, failed_t = "divergent", grid[-1]
+    if failed_t is not None:
+        return PairingReport(
+            value=None, method="abel", verdict=verdict, converged=False,
+            truncation_degree=used, tail_estimate=math.inf,
+            t_grid=tuple(grid), failed_t=failed_t,
+        )
 
     value, resid = wynn_epsilon(values)
     ok = math.isfinite(resid) and resid <= cfg.tolerance

@@ -23,6 +23,8 @@ def test_symmetry_is_enforced():
         fp.AntilinearSymmetricMap(bad)
     ok = fp.AntilinearSymmetricMap(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     assert ok.dim == 2
+    with pytest.raises(fp.DimensionMismatch, match="dim must be >= 1"):
+        fp.AntilinearSymmetricMap(np.zeros((0, 0)))
 
 
 def test_apply_is_antilinear():
@@ -78,13 +80,23 @@ def test_takagi_columns_are_antilinear_eigenvectors():
 
 
 def test_takagi_degenerate_clusters():
-    # repeated singular values force the cluster branch
+    # repeated singular values; a tiny value next to an exact kernel, where
+    # eigenvectors of nearly equal values mix; the zero map; sign-mixed
+    # diagonals
     rng = np.random.default_rng(9)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     a = q @ np.diag([0.7, 0.7, 0.7, 0.2]) @ q.T
-    z = fp.AntilinearSymmetricMap((a + a.T) / 2)
-    fac = fp.takagi(z)
-    assert np.abs(fac.reconstruct() - z.matrix).max() < 1e-10
+    cases = [(a + a.T) / 2]
+    for seed in (16, 21, 37, 38):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        cases.append(q @ np.diag([1e-8, 0, 0]) @ q.T)
+    cases += [np.zeros((3, 3)), -np.eye(3), np.diag([1.0, -1.0])]
+    for mat in cases:
+        z = fp.AntilinearSymmetricMap(mat)
+        fac = fp.takagi(z)
+        assert np.abs(fac.reconstruct() - z.matrix).max() < 1e-10
+        assert np.abs(fac.unitary.conj().T @ fac.unitary - np.eye(z.dim)).max() < 1e-10
 
 
 # ---------------------------------------------------------------- norms and membership

@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -210,3 +211,10 @@ def test_console_script_installed():
     doc = json.loads(proc.stdout)
     assert doc["command"] == "demo"
     assert doc["version"] == fp.__version__
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only dependency; importing scipy would double the CLI's start-up
+    code = "import sys, fockpair.cli; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -192,10 +192,6 @@ def test_pair_swap_structure():
     assert np.allclose(fp.pair_swap(out), vals)  # involution on even horizon
 
 
-def test_divergence_demo_ratios():
-    assert suites.conjugation_term_ratios(None) <= 1e-9
-
-
 def test_wynn_epsilon_rejects_bad_lengths():
     block = np.cumsum(np.ones((2, 5)), axis=1)
     for lengths in (None, [[5], [6]], [[5], [-1]], [[5, 5]], [[2.0], [3.0]]):
@@ -276,6 +272,15 @@ def test_abel_grid_matches_pointwise_loop():
             assert repr((rep.value, rep.verdict, rep.tail_estimate, rep.truncation_degree)) == repr(
                 (row.value, row.verdict, row.tail, row.used_degree)
             ), (name, t)
+
+
+def test_abel_growth_toward_one_is_divergent():
+    # every grid point converges, but 1 / (1 - t^2) grows without bound
+    cfg = fp.RegularizationConfig()
+    ones = fp.sequence_element(np.ones(cfg.max_degree + 1))
+    got = fp.abel_pairing(ones, ones, cfg)
+    assert (got.verdict, got.failed_t) == ("divergent", cfg.t_grid()[-1])
+    assert repr(got) == repr(_reference_abel(ones, ones, cfg))
 
 
 # ---------------------------------------------------------------- plumbing
@@ -405,8 +410,6 @@ def test_wynn_epsilon_matches_scalar_tableau():
 def test_regularization_config_validation():
     with pytest.raises(ValueError):
         fp.RegularizationConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        fp.RegularizationConfig(acceleration="pade")
     cfg = fp.RegularizationConfig()
     grid = cfg.t_grid()
     assert grid[0] == pytest.approx(1.0 - 2.0**-3)
