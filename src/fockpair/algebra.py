@@ -33,14 +33,55 @@ def basis_size(m: int, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _basis(m: int, d: int) -> tuple[tuple[int, ...], ...]:
+def _basis_array(m: int, d: int) -> np.ndarray:
+    """Multi-indices of degree d over m variables, one per row, graded-lex order.
+
+    The order is descending lexicographic: the first coordinate runs from d
+    down to 0, and behind each value d - k come the degree-k rows over the
+    remaining m - 1 variables in their own order.
+    """
     if m == 1:
-        return ((d,),)
-    out = []
-    for head in range(d, -1, -1):
-        for rest in _basis(m - 1, d - head):
-            out.append((head,) + rest)
-    return tuple(out)
+        out = np.array([[d]], dtype=np.intp)
+    else:
+        rest = np.concatenate([_basis_array(m - 1, k) for k in range(d + 1)])
+        out = np.column_stack((d - rest.sum(axis=1), rest))
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _basis(m: int, d: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, _basis_array(m, d).tolist()))
+
+
+@lru_cache(maxsize=None)
+def _binomials(n: int, k: int) -> np.ndarray:
+    """C(i, j) for 0 <= i <= n and 0 <= j <= k, exact in an integer array."""
+    return np.array([[math.comb(i, j) for j in range(k + 1)] for i in range(n + 1)], dtype=np.intp)
+
+
+def _rank(rows: np.ndarray, d: int) -> np.ndarray:
+    """Graded-lex positions of the degree-d multi-indices in rows.
+
+    Row D is preceded by the rows that agree with it up to some coordinate
+    and are larger there.  For the coordinate with k coordinates after it,
+    whose entries in D add up to t, the hockey-stick identity counts them as
+    C(t + k - 1, k) (combinatorial number system, Knuth TAOCP 7.2.1.3).
+    """
+    m = rows.shape[1]
+    binom = _binomials(d + m - 1, m - 1)
+    tail = np.zeros(len(rows), dtype=np.intp)
+    pos = np.zeros(len(rows), dtype=np.intp)
+    for k in range(1, m):
+        tail += rows[:, m - k]
+        pos += binom[tail + k - 1, k]
+    return pos
+
+
+@lru_cache(maxsize=None)
+def _log_factorials(n: int) -> np.ndarray:
+    """lgamma(i + 1) for 0 <= i <= n."""
+    return np.array([math.lgamma(i + 1) for i in range(n + 1)])
 
 
 def enumerate_basis(m: int, d: int) -> list[tuple[int, ...]]:
@@ -240,18 +281,26 @@ def _scatter_map(m: int, d_src: int, entry: tuple[int, ...]):
     """Target positions and weights for multiplying degree d_src by v^entry.
 
     D -> D + entry is injective, so the returned index array has no repeats
-    and a fancy-indexed += is a valid scatter.
+    and a fancy-indexed += is a valid scatter.  The weights are bit for bit
+    those of _sqrt_multibinom(D, entry): the same exact binomials below
+    _EXACT_DEGREE, the same log-gamma sums in the same coordinate order and
+    math.exp above it, taken once per distinct exponent (numpy's exp differs
+    in the last bit on some entries).
     """
     d_tgt = d_src + sum(entry)
-    pos_tgt = _basis_pos(m, d_tgt)
-    src = _basis(m, d_src)
-    idx = np.empty(len(src), dtype=np.intp)
-    w = np.empty(len(src), dtype=float)
-    for i, D in enumerate(src):
-        tgt = tuple(a + b for a, b in zip(D, entry))
-        idx[i] = pos_tgt[tgt]
-        w[i] = _sqrt_multibinom(D, entry)
-    return idx, w
+    src = _basis_array(m, d_src)
+    ent = np.array(entry, dtype=np.intp)
+    tgt = src + ent
+    idx = _rank(tgt, d_tgt)
+    if d_tgt <= _EXACT_DEGREE:
+        prod = _binomials(_EXACT_DEGREE, _EXACT_DEGREE)[tgt, ent].prod(axis=1)
+        return idx, np.sqrt(prod.astype(float))
+    lgam = _log_factorials(d_tgt)
+    lg = np.zeros(len(src))
+    for i, e in enumerate(entry):
+        lg += lgam[tgt[:, i]] - lgam[src[:, i]] - lgam[e]
+    exponents, where = np.unique(0.5 * lg, return_inverse=True)
+    return idx, np.array([math.exp(x) for x in exponents.tolist()])[where]
 
 
 def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64) -> GradedElement:

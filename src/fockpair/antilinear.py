@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GradedElement, basis_size, enumerate_basis
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch
 
 SYMMETRY_TOL = 1e-12
 
@@ -92,10 +92,14 @@ def operator_norm(zmap: AntilinearSymmetricMap) -> float:
 
 def siegel_membership(zmap: AntilinearSymmetricMap, tol: float = 1e-10) -> str:
     """'open' for norm < 1, 'boundary' within tol of 1, 'outside' beyond."""
-    top = operator_norm(zmap)
-    if abs(top - 1.0) <= tol:
+    return siegel_class(operator_norm(zmap), tol)
+
+
+def siegel_class(norm: float, tol: float = 1e-10) -> str:
+    """siegel_membership of a map whose operator norm is already known."""
+    if abs(norm - 1.0) <= tol:
         return "boundary"
-    return "open" if top < 1.0 else "outside"
+    return "open" if norm < 1.0 else "outside"
 
 
 def quadratic_from_map(zmap: AntilinearSymmetricMap) -> GradedElement:

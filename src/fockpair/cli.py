@@ -182,13 +182,14 @@ def _cmd_takagi(args) -> int:
     fac = antilinear.takagi(zmap)
     recon = float(np.abs(fac.reconstruct() - zmap.matrix).max())
     unit = float(np.abs(fac.unitary.conj().T @ fac.unitary - np.eye(zmap.dim)).max())
+    norm = max(0.0, float(fac.values[0]))  # the largest singular value; a zero map may read -0.0
     result = {
         "values": list(fac.values),
         "unitary": fac.unitary,
         "reconstruction_residual": recon,
         "unitarity_residual": unit,
-        "operator_norm": antilinear.operator_norm(zmap),
-        "siegel_membership": antilinear.siegel_membership(zmap),
+        "operator_norm": norm,
+        "siegel_membership": antilinear.siegel_class(norm),
     }
     _emit("takagi", {"file": args.z}, result, t0)
     return 0

@@ -11,7 +11,6 @@ from .antilinear import (
     AntilinearSymmetricMap,
     TakagiFactorization,
     compose,
-    operator_norm,
     quadratic_from_map,
     takagi,
 )

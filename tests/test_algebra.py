@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fockpair as fp
-from fockpair import suites
+from fockpair import algebra, suites
 from fockpair.suites import coeff_gap, random_element
 
 
@@ -189,6 +189,47 @@ def test_product_cap_flags_truncation():
     assert coeff_gap(capped, fp.GradedElement(2, {d: full.component(d) for d in range(5)}, 4)) < 1e-15
 
 
+def _loop_scatter_map(m, d_src, entry):
+    """The per-element scatter table: reference for algebra._scatter_map."""
+    d_tgt = d_src + sum(entry)
+    pos_tgt = algebra._basis_pos(m, d_tgt)
+    src = algebra._basis(m, d_src)
+    idx = np.empty(len(src), dtype=np.intp)
+    w = np.empty(len(src), dtype=float)
+    for i, D in enumerate(src):
+        tgt = tuple(a + b for a, b in zip(D, entry))
+        idx[i] = pos_tgt[tgt]
+        w[i] = algebra._sqrt_multibinom(D, entry)
+    return idx, w
+
+
+def test_rank_is_basis_position():
+    for m in range(1, 6):
+        for d in range(0, 31, 3):
+            rows = algebra._basis_array(m, d)
+            assert np.array_equal(algebra._rank(rows, d), np.arange(len(rows)))
+            got = [tuple(r) for r in rows.tolist()]
+            assert got == sorted(set(got), reverse=True) == fp.enumerate_basis(m, d)
+            assert len(got) == fp.basis_size(m, d) and all(sum(r) == d for r in got)
+
+
+def test_scatter_tables_match_loop_reference():
+    # target degrees 1 to 43 cover both sides of _EXACT_DEGREE; at m = 5 the
+    # reference loop costs about 0.8 s per entry, so it takes three entries
+    table = algebra._scatter_map.__wrapped__  # uncached, so the grid leaves no tables behind
+    grid = {m: (40, fp.enumerate_basis(m, 1) + fp.enumerate_basis(m, 2) + fp.enumerate_basis(m, 3)[::4])
+            for m in (1, 2, 3)}
+    grid[4] = (24, fp.enumerate_basis(4, 1) + fp.enumerate_basis(4, 2))
+    grid[5] = (24, [(0, 0, 0, 0, 1), (0, 1, 0, 1, 0), (2, 0, 1, 0, 0)])
+    for m, (top, entries) in grid.items():
+        for d_src in range(top + 1):
+            for entry in entries:
+                idx, w = table(m, d_src, entry)
+                ref_idx, ref_w = _loop_scatter_map(m, d_src, entry)
+                assert idx.dtype == ref_idx.dtype and w.dtype == ref_w.dtype
+                assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w), (m, d_src, entry)
+
+
 # ---------------------------------------------------------------- coproduct and antidual product
 
 
@@ -231,7 +272,7 @@ def test_gaussian_truncations_multiply_like_exponentials():
     m = 2
     x = fp.random_symmetric(m, rng, norm=0.5)
     y = fp.random_symmetric(m, rng, norm=0.4)
-    cap = 20
+    cap = 30  # past _EXACT_DEGREE, where the weights come from log-gamma sums
     ex = fp.gaussian_series(fp.GaussianSeed.from_map(x), cap=cap)
     ey = fp.gaussian_series(fp.GaussianSeed.from_map(y), cap=cap)
     combined = fp.AntilinearSymmetricMap(x.matrix + y.matrix)
