@@ -27,6 +27,7 @@ COPRODUCT_GUARD = 8
 _EMBED_BUDGET = 2_000_000
 
 
+@lru_cache(maxsize=None)
 def basis_size(m: int, d: int) -> int:
     """Dimension of the degree-d slice, binom(d + m - 1, m - 1)."""
     return math.comb(d + m - 1, m - 1)
@@ -159,7 +160,12 @@ class GradedElement:
         return sorted(self.components)
 
     def nonzero_degrees(self) -> list[int]:
-        return [d for d in self.degrees() if np.any(self.components[d])]
+        # the component arrays are read-only, so one scan serves every call
+        got = self.__dict__.get("_nonzero")
+        if got is None:
+            got = tuple(d for d in self.degrees() if self.components[d].any())
+            object.__setattr__(self, "_nonzero", got)
+        return list(got)
 
 
 def vacuum(m: int) -> GradedElement:
@@ -281,11 +287,11 @@ def _scatter_map(m: int, d_src: int, entry: tuple[int, ...]):
     """Target positions and weights for multiplying degree d_src by v^entry.
 
     D -> D + entry is injective, so the returned index array has no repeats
-    and a fancy-indexed += is a valid scatter.  The weights are bit for bit
-    those of _sqrt_multibinom(D, entry): the same exact binomials below
-    _EXACT_DEGREE, the same log-gamma sums in the same coordinate order and
-    math.exp above it, taken once per distinct exponent (numpy's exp differs
-    in the last bit on some entries).
+    and a scatter through it adds to each target position once.  The
+    weights are bit for bit those of _sqrt_multibinom(D, entry): the same
+    exact binomials below _EXACT_DEGREE, the same log-gamma sums in the same
+    coordinate order and math.exp above it, taken once per distinct exponent
+    (numpy's exp differs in the last bit on some entries).
     """
     d_tgt = d_src + sum(entry)
     src = _basis_array(m, d_src)
@@ -314,28 +320,30 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64) -> Grad
     m = a.dim
     comps: dict[int, np.ndarray] = {}
     dropped = False
+    degs_b = b.nonzero_degrees()
     for da in a.nonzero_degrees():
         arr_a = a.components[da]
-        for db in b.nonzero_degrees():
+        nnz_a = np.count_nonzero(arr_a)
+        for db in degs_b:
             if da + db > cap:
                 dropped = True
                 continue
             arr_b = b.components[db]
-            tgt = comps.setdefault(da + db, np.zeros(basis_size(m, da + db), dtype=complex))
+            tgt = comps.get(da + db)
+            if tgt is None:
+                tgt = comps[da + db] = np.zeros(basis_size(m, da + db), dtype=complex)
             # scatter from the side with fewer nonzero entries
-            if np.count_nonzero(arr_a) <= np.count_nonzero(arr_b):
+            if nnz_a <= np.count_nonzero(arr_b):
                 entries, spread, d_spread = arr_a, arr_b, db
             else:
                 entries, spread, d_spread = arr_b, arr_a, da
-            d_ent = da + db - d_spread
-            ent_basis = _basis(m, d_ent)
-            for k in np.flatnonzero(entries):
+            ent_basis = _basis(m, da + db - d_spread)
+            for k in entries.nonzero()[0].tolist():
                 idx, w = _scatter_map(m, d_spread, ent_basis[k])
-                tgt[idx] += entries[k] * w * spread
+                np.add.at(tgt, idx, entries[k] * w * spread)
     truncated = a.truncated or b.truncated or dropped
-    horizon = min(cap, a.max_degree + b.max_degree)
-    comps = {d: v for d, v in comps.items() if d <= horizon}
-    return GradedElement(m, comps, horizon, truncated)
+    # every stored degree is at most cap and at most a.max_degree + b.max_degree
+    return GradedElement(m, comps, min(cap, a.max_degree + b.max_degree), truncated)
 
 
 def coproduct_oracle(D: tuple[int, ...]):
@@ -433,20 +441,26 @@ def symmetric_power_matrix(W: np.ndarray, d: int) -> np.ndarray:
     """Matrix of the degree-d functorial lift of W in the orthonormal basis.
 
     Column for basis index E is the coordinate vector of
-    prod_i (W v_i)^{e_i} / sqrt(E!).
+    prod_i (W v_i)^{e_i} / sqrt(E!).  It is built degree by degree: with i
+    the first nonzero coordinate of E, column(E) = (W v_i) column(E - e_i)
+    / sqrt(e_i), and multiplying by W v_i = sum_j W_ji v_j sends the basis
+    vector of D to sum_j W_ji sqrt(d_j + 1) times that of D + e_j.
     """
     W = np.asarray(W, dtype=complex)
     m = W.shape[0]
     if W.shape != (m, m):
         raise DimensionMismatch("square matrix required")
-    n = basis_size(m, d)
-    out = np.empty((n, n), dtype=complex)
-    if d == 0:
-        return np.ones((1, 1), dtype=complex)
-    for j, E in enumerate(_basis(m, d)):
-        factors = []
-        for i, e in enumerate(E):
-            factors.extend([W[:, i]] * e)
-        col = embed_product(factors).components[d] / normalization(E)
-        out[:, j] = col
+    if d < 0:
+        raise ValueError("need d >= 0")
+    unit = np.eye(m, dtype=np.intp)
+    out = np.ones((1, 1), dtype=complex)
+    for k in range(1, d + 1):
+        src, cols = _basis_array(m, k - 1), _basis_array(m, k)
+        first = (cols != 0).argmax(axis=1)
+        prev = out[:, _rank(cols - unit[first], k - 1)]
+        # coefficient of v_j in W v_i / sqrt(e_i), one column per E
+        coef = W[:, first] / np.sqrt(cols[np.arange(len(cols)), first])
+        out = np.zeros((len(cols), len(cols)), dtype=complex)
+        for j in range(m):
+            out[_rank(src + unit[j], k)] += np.sqrt(src[:, j] + 1.0)[:, None] * prev * coef[j]
     return out

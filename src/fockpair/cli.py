@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -82,14 +83,13 @@ def load_matrix(path: str, want_role: str | None = None) -> np.ndarray:
 
 
 def _encode(obj):
+    # non-finite floats become null, so that reports are strict JSON (RFC 8259)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _encode(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.complexfloating,)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": _encode(float(obj.real)), "im": _encode(float(obj.imag))}
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -109,7 +109,7 @@ def _emit(command: str, config: dict, result, t0: float) -> None:
         "wall_time_s": time.perf_counter() - t0,
         "version": __version__,
     }
-    json.dump(doc, sys.stdout)
+    json.dump(doc, sys.stdout, allow_nan=False)
     sys.stdout.write("\n")
 
 

@@ -53,6 +53,8 @@ def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP, budget: int = _B
     ratios of consecutive coefficients enter and no large factorial is ever
     formed.  Components sit in even degrees only.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     m = seed.dim
     total = sum(basis_size(m, d) for d in range(0, cap + 1, 2))
     if total > budget:
@@ -64,10 +66,9 @@ def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP, budget: int = _B
     while 2 * (n + 1) <= cap:
         n += 1
         term = symmetric_product(term, scale(zeta, 1.0 / n), cap=cap)
-        arr = term.component(2 * n)
-        if not np.any(arr):
+        if 2 * n not in term.nonzero_degrees():
             break
-        comps[2 * n] = arr
+        comps[2 * n] = term.components[2 * n]
     truncated = bool(np.any(zeta.component(2)))
     return GradedElement(m, comps, max_degree=cap, truncated=truncated)
 

@@ -58,6 +58,8 @@ class RegularizationConfig:
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_degree < 0:
+            raise ValueError(f"max_degree must be >= 0, got {self.max_degree}")
 
     def t_grid(self) -> list[float]:
         return [1.0 - 2.0 ** (-k) for k in _T_GRID_K]

@@ -230,6 +230,104 @@ def test_scatter_tables_match_loop_reference():
                 assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w), (m, d_src, entry)
 
 
+def _scan_nonzero(el):
+    return [d for d in el.degrees() if np.any(el.components[d])]
+
+
+def _reference_symmetric_product(a, b, cap=64):
+    """The graded product as first written: reference for algebra.symmetric_product."""
+    m = a.dim
+    comps = {}
+    dropped = False
+    for da in _scan_nonzero(a):
+        arr_a = a.components[da]
+        for db in _scan_nonzero(b):
+            if da + db > cap:
+                dropped = True
+                continue
+            arr_b = b.components[db]
+            tgt = comps.setdefault(da + db, np.zeros(fp.basis_size(m, da + db), dtype=complex))
+            if np.count_nonzero(arr_a) <= np.count_nonzero(arr_b):
+                entries, spread, d_spread = arr_a, arr_b, db
+            else:
+                entries, spread, d_spread = arr_b, arr_a, da
+            ent_basis = algebra._basis(m, da + db - d_spread)
+            for k in np.flatnonzero(entries):
+                idx, w = algebra._scatter_map(m, d_spread, ent_basis[k])
+                tgt[idx] += entries[k] * w * spread
+    truncated = a.truncated or b.truncated or dropped
+    horizon = min(cap, a.max_degree + b.max_degree)
+    comps = {d: v for d, v in comps.items() if d <= horizon}
+    return fp.GradedElement(m, comps, horizon, truncated)
+
+
+def _same_bits(x, y):
+    """Equal degrees, horizons, flags and coefficient bits (signed zeros included)."""
+    return (x.dim == y.dim and x.max_degree == y.max_degree and x.truncated == y.truncated
+            and x.degrees() == y.degrees()
+            and all(np.array_equal(x.components[d].view(np.uint64), y.components[d].view(np.uint64))
+                    for d in x.degrees()))
+
+
+def _factor(rng, m, degrees, kind):
+    comps = {}
+    for d in degrees:
+        n = fp.basis_size(m, d)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if kind == "real":  # imaginary parts +0.0 beside negative reals
+            v = v.real + 0j
+        elif kind == "diagonal":  # the pure powers v_i^d only
+            keep = [i for i, entry in enumerate(fp.enumerate_basis(m, d)) if max(entry) == d]
+            v[np.setdiff1d(np.arange(n), keep)] = 0.0
+        elif kind == "single":
+            v[np.arange(n) != rng.integers(n)] = 0.0
+        comps[d] = v
+    return fp.GradedElement(m, comps, max(degrees))
+
+
+def test_symmetric_product_matches_reference_bits():
+    rng = np.random.default_rng(61)
+    shapes = [([1], [1]), ([2], [3]), ([0, 1, 3], [1, 2]), ([0, 2, 4], [2]), ([1, 2, 3], [0, 1, 2, 3])]
+    kinds = ["dense", "real", "diagonal", "single"]
+    for m in (1, 2, 3, 4):
+        for da, db in shapes:
+            for ka in kinds:
+                for kb in kinds:
+                    a, b = _factor(rng, m, da, ka), _factor(rng, m, db, kb)
+                    top = max(da) + max(db)
+                    for cap in (64, top - 1, top // 2):  # the smaller caps drop degrees
+                        got = fp.symmetric_product(a, b, cap=cap)
+                        want = _reference_symmetric_product(a, b, cap=cap)
+                        assert _same_bits(got, want), (m, da, db, ka, kb, cap)
+                        assert got.nonzero_degrees() == _scan_nonzero(want)
+
+
+def _reference_gaussian_components(seed, cap):
+    """The power loop of gaussian_series over the reference product."""
+    comps = {0: np.ones(1, dtype=complex)}
+    term = fp.vacuum(seed.dim)
+    n = 0
+    while 2 * (n + 1) <= cap:
+        n += 1
+        term = _reference_symmetric_product(term, fp.scale(seed.quadratic, 1.0 / n), cap=cap)
+        arr = term.component(2 * n)
+        if not np.any(arr):
+            break
+        comps[2 * n] = arr
+    return comps
+
+
+def test_gaussian_series_matches_reference_power_loop_bits():
+    rng = np.random.default_rng(67)
+    for m, cap in ((1, 200), (2, 160), (3, 80), (4, 24)):
+        diagonal = np.diag(0.9 * rng.uniform(0.2, 1.0, m) * np.exp(1j * rng.uniform(0, 2 * np.pi, m)))
+        for a in (fp.random_symmetric(m, rng, norm=0.8).matrix, diagonal):
+            seed = fp.GaussianSeed.from_matrix(a)
+            got = fp.gaussian_series(seed, cap=cap)
+            want = fp.GradedElement(m, _reference_gaussian_components(seed, cap), cap, True)
+            assert _same_bits(got, want), (m, cap)
+
+
 # ---------------------------------------------------------------- coproduct and antidual product
 
 
@@ -352,6 +450,35 @@ def test_add_truncation_horizon():
     tot = fp.add(trunc, poly)
     # the truncated summand caps trustworthy degrees at its own horizon
     assert tot.truncated and tot.max_degree == 3
+
+
+def _embed_power_matrix(W, d):
+    """Brute-force lift, one embed_product per column: reference for symmetric_power_matrix."""
+    m = W.shape[0]
+    if d == 0:
+        return np.ones((1, 1), dtype=complex)
+    out = np.empty((fp.basis_size(m, d), fp.basis_size(m, d)), dtype=complex)
+    for j, E in enumerate(fp.enumerate_basis(m, d)):
+        factors = []
+        for i, e in enumerate(E):
+            factors.extend([W[:, i]] * e)
+        out[:, j] = fp.embed_product(factors).components[d] / fp.normalization(E)
+    return out
+
+
+def test_symmetric_power_matrix_matches_embed_reference():
+    rng = np.random.default_rng(31)
+    for m in (1, 2, 3, 4):
+        W = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        if m > 1:
+            W[0, -1] = 0.0  # a zero entry, so some products vanish
+        for d in range(7):
+            got = fp.symmetric_power_matrix(W, d)
+            want = _embed_power_matrix(W, d)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (m, d)
+    with pytest.raises(ValueError):
+        fp.symmetric_power_matrix(np.eye(2), -1)
 
 
 def test_symmetric_power_matrix_is_functorial():

@@ -180,6 +180,35 @@ def test_malformed_inputs_exit_one(files, capsys, tmp_path):
     assert code == 1
 
 
+def test_negative_max_degree_exits_one(files, capsys):
+    for argv in (
+        ["pair", "--x", files["diag06"], "--y", files["diag06"], "--method", "series"],
+        ["pair", "--x", files["diag06"], "--y", files["diag06"], "--method", "abel"],
+        ["norm", "--z", files["diag06"], "--method", "series"],
+    ):
+        code = main(argv + ["--max-degree", "-5"])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert "max_degree must be >= 0" in captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds the non-standard JSON constant {name}")
+
+
+def test_reports_are_strict_json(files, capsys):
+    # at degree 0 nothing is summed: the tail and the residual are not finite
+    for method in ("series", "abel"):
+        main(["pair", "--x", files["diag06"], "--y", files["diag06"], "--method", method, "--max-degree", "0"])
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert doc["result"]["verdict"] == "undecided"
+        assert doc["result"]["tail_estimate"] is None
+        assert doc["result"]["extrapolation_residual"] is None
+    code = main(["pair", "--x", files["sigma2"], "--y", files["negsigma2"], "--method", "abel"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 0 and doc["result"]["extrapolation_residual"] >= 0.0
+
+
 def test_usage_errors_exit_one(capsys):
     for argv in (
         ["pair", "--x", "a.json", "--y", "b.json", "--method", "bogus"],

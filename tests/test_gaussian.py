@@ -159,6 +159,13 @@ def test_budget_guard():
         fp.gaussian_series(small, cap=20, budget=5)
 
 
+def test_negative_cap_rejected():
+    seed = seed_from(0.5 * np.eye(2))
+    with pytest.raises(ValueError, match="cap"):
+        fp.gaussian_series(seed, cap=-1)
+    assert fp.gaussian_series(seed, cap=0).degrees() == [0]
+
+
 def test_pair_closed_domain_errors():
     sigma = fp.GaussianSeed.from_map(fp.conjugation(2))
     with pytest.raises(fp.DomainError):

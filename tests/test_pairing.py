@@ -410,6 +410,9 @@ def test_wynn_epsilon_matches_scalar_tableau():
 def test_regularization_config_validation():
     with pytest.raises(ValueError):
         fp.RegularizationConfig(tolerance=0.0)
+    with pytest.raises(ValueError, match="max_degree"):
+        fp.RegularizationConfig(max_degree=-1)
+    assert fp.RegularizationConfig(max_degree=0).max_degree == 0
     cfg = fp.RegularizationConfig()
     grid = cfg.t_grid()
     assert grid[0] == pytest.approx(1.0 - 2.0**-3)
