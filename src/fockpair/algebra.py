@@ -67,7 +67,8 @@ def _rank(rows: np.ndarray, d: int) -> np.ndarray:
     Row D is preceded by the rows that agree with it up to some coordinate
     and are larger there.  For the coordinate with k coordinates after it,
     whose entries in D add up to t, the hockey-stick identity counts them as
-    C(t + k - 1, k) (combinatorial number system, Knuth TAOCP 7.2.1.3).
+    C(t + k - 1, k) (combinatorial number system, Knuth TAOCP 7.2.1.3).  The
+    first coordinate is never read.
     """
     m = rows.shape[1]
     binom = _binomials(d + m - 1, m - 1)
@@ -75,7 +76,7 @@ def _rank(rows: np.ndarray, d: int) -> np.ndarray:
     pos = np.zeros(len(rows), dtype=np.intp)
     for k in range(1, m):
         tail += rows[:, m - k]
-        pos += binom[tail + k - 1, k]
+        pos += binom[k - 1 :, k].take(tail)
     return pos
 
 
@@ -282,6 +283,47 @@ def embed_product(vectors, dim: int | None = None) -> GradedElement:
     return GradedElement(m, {d: out}, max_degree=d)
 
 
+def _log_gamma_weights(rows: np.ndarray, ent: tuple[int, ...], d: int) -> np.ndarray:
+    """sqrt(prod_i C(r_i + e_i, e_i)) for each row of total at most d.
+
+    As in _sqrt_multibinom: log-gamma sums in coordinate order, then math.exp
+    once per distinct exponent (numpy's exp differs in the last bit on some
+    entries).
+    """
+    lgam = _log_factorials(d + sum(ent))
+    lg = np.zeros(len(rows))
+    for i, e in enumerate(ent):
+        lg += lgam[rows[:, i] + e] - lgam[rows[:, i]] - lgam[e]
+    exponents, where = np.unique(0.5 * lg, return_inverse=True)
+    return np.array([math.exp(x) for x in exponents.tolist()])[where]
+
+
+# Weights of the log-gamma tables whose entry leaves out a coordinate, keyed by
+# the entry's nonzero exponents in coordinate order.  A coordinate off the
+# support adds 0.0 to _sqrt_multibinom's log-gamma sum, so a source row's
+# weight is that of its support row (its coordinates on the support), bit for
+# bit.  Each array holds one weight per support row of total at most the
+# largest source degree served, C(d + k, k) for k support coordinates, in the
+# order of _basis_array(k + 1, d)[:, 1:].  Filled by _support_weights.
+_support_weight_cache: dict[tuple[int, ...], np.ndarray] = {}
+
+
+def _support_weights(ent: tuple[int, ...], rows: np.ndarray, d: int) -> np.ndarray:
+    """Cached weights of the support rows rows[:, 1:], each of total at most d.
+
+    Column 0 is never read by _rank.  It stands for the slack, d minus the
+    row's total, which makes each row a degree-d row over k + 1 coordinates
+    whose rank is its position in the cache.  That order puts the rows of
+    smaller total first, so a larger d extends the cache where it ends.
+    """
+    k = len(ent)
+    have = _support_weight_cache.get(ent, np.empty(0))
+    if len(have) < math.comb(d + k, k):
+        new = _basis_array(k + 1, d)[len(have) :, 1:]
+        have = _support_weight_cache[ent] = np.concatenate((have, _log_gamma_weights(new, ent, d)))
+    return have[_rank(rows, d)]
+
+
 @lru_cache(maxsize=None)
 def _scatter_map(m: int, d_src: int, entry: tuple[int, ...]):
     """Target positions and weights for multiplying degree d_src by v^entry.
@@ -289,9 +331,10 @@ def _scatter_map(m: int, d_src: int, entry: tuple[int, ...]):
     D -> D + entry is injective, so the returned index array has no repeats
     and a scatter through it adds to each target position once.  The
     weights are bit for bit those of _sqrt_multibinom(D, entry): the same
-    exact binomials below _EXACT_DEGREE, the same log-gamma sums in the same
-    coordinate order and math.exp above it, taken once per distinct exponent
-    (numpy's exp differs in the last bit on some entries).
+    exact binomials below _EXACT_DEGREE, the same log-gamma sums above it.
+    There, an entry on every coordinate has a support row per source row that
+    recurs at no other source degree, so its table is weighed alone; any
+    other entry reads _support_weight_cache, shared across entries and degrees.
     """
     d_tgt = d_src + sum(entry)
     src = _basis_array(m, d_src)
@@ -301,12 +344,10 @@ def _scatter_map(m: int, d_src: int, entry: tuple[int, ...]):
     if d_tgt <= _EXACT_DEGREE:
         prod = _binomials(_EXACT_DEGREE, _EXACT_DEGREE)[tgt, ent].prod(axis=1)
         return idx, np.sqrt(prod.astype(float))
-    lgam = _log_factorials(d_tgt)
-    lg = np.zeros(len(src))
-    for i, e in enumerate(entry):
-        lg += lgam[tgt[:, i]] - lgam[src[:, i]] - lgam[e]
-    exponents, where = np.unique(0.5 * lg, return_inverse=True)
-    return idx, np.array([math.exp(x) for x in exponents.tolist()])[where]
+    support = [i for i, e in enumerate(entry) if e]
+    if len(support) == m:
+        return idx, _log_gamma_weights(src, entry, d_src)
+    return idx, _support_weights(tuple(entry[i] for i in support), src[:, [0] + support], d_src)
 
 
 def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64) -> GradedElement:

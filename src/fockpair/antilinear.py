@@ -30,6 +30,8 @@ class AntilinearSymmetricMap:
             raise DimensionMismatch("square matrix required")
         if a.shape[0] < 1:
             raise DimensionMismatch("dim must be >= 1")
+        if not np.isfinite(a).all():  # a NaN would pass the symmetry test below
+            raise ValueError("matrix has non-finite entries")
         dev = np.abs(a - a.T).max()
         if dev > SYMMETRY_TOL * max(1.0, np.abs(a).max()):
             raise ValueError(f"matrix is not symmetric (deviation {dev:.3e})")

@@ -54,11 +54,14 @@ def load_matrix(path: str, want_role: str | None = None) -> np.ndarray:
     if not isinstance(doc, dict):
         raise CliInputError(f"{path}: expected a JSON object")
     try:
-        m = int(doc["dim"])
+        dim = doc["dim"]
         role = doc["role"]
         entries = doc["entries"]
     except KeyError as exc:
         raise CliInputError(f"{path}: missing field {exc}") from exc
+    if not (isinstance(dim, int) or isinstance(dim, float) and dim.is_integer()):
+        raise CliInputError(f"{path}: dim must be an integer, found {dim!r}")
+    m = int(dim)
     if role not in ("antilinear_symmetric", "general"):
         raise CliInputError(f"{path}: unknown role {role!r}")
     if want_role is not None and role != want_role:
@@ -71,9 +74,13 @@ def load_matrix(path: str, want_role: str | None = None) -> np.ndarray:
             raise CliInputError(f"{path}: row {i} must have {m} entries")
         for j, cell in enumerate(row):
             try:
-                out[i, j] = float(cell["re"]) + 1j * float(cell["im"])
-            except (TypeError, KeyError, ValueError) as exc:
+                re, im = float(cell["re"]), float(cell["im"])
+            except (TypeError, KeyError, ValueError, OverflowError) as exc:
                 raise CliInputError(f"{path}: bad entry at ({i},{j}): {exc}") from exc
+            # json reads the NaN and Infinity tokens
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise CliInputError(f"{path}: entry at ({i},{j}) is not finite: {re} + {im}i")
+            out[i, j] = re + 1j * im
     if role == "antilinear_symmetric":
         gap = float(np.abs(out - out.T).max())
         if gap > _LOAD_SYMMETRY_TOL:

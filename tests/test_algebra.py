@@ -6,6 +6,7 @@ both against small hand-computed values.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -213,21 +214,53 @@ def test_rank_is_basis_position():
             assert len(got) == fp.basis_size(m, d) and all(sum(r) == d for r in got)
 
 
+def _assert_reference_table(table, m, d_src, entry):
+    idx, w = table(m, d_src, entry)
+    ref_idx, ref_w = _loop_scatter_map(m, d_src, entry)
+    assert idx.dtype == ref_idx.dtype and w.dtype == ref_w.dtype
+    assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w), (m, d_src, entry)
+
+
 def test_scatter_tables_match_loop_reference():
     # target degrees 1 to 43 cover both sides of _EXACT_DEGREE; at m = 5 the
     # reference loop costs about 0.8 s per entry, so it takes three entries
     table = algebra._scatter_map.__wrapped__  # uncached, so the grid leaves no tables behind
-    grid = {m: (40, fp.enumerate_basis(m, 1) + fp.enumerate_basis(m, 2) + fp.enumerate_basis(m, 3)[::4])
+    grid = {m: (range(41), fp.enumerate_basis(m, 1) + fp.enumerate_basis(m, 2) + fp.enumerate_basis(m, 3)[::4])
             for m in (1, 2, 3)}
-    grid[4] = (24, fp.enumerate_basis(4, 1) + fp.enumerate_basis(4, 2))
-    grid[5] = (24, [(0, 0, 0, 0, 1), (0, 1, 0, 1, 0), (2, 0, 1, 0, 0)])
-    for m, (top, entries) in grid.items():
-        for d_src in range(top + 1):
+    grid[4] = (range(25), fp.enumerate_basis(4, 1) + fp.enumerate_basis(4, 2))
+    grid[5] = (range(25), [(0, 0, 0, 0, 1), (0, 1, 0, 1, 0), (2, 0, 1, 0, 0)])
+    # the degree-2 entries of a Gaussian series further out, where the weights
+    # of every table come from support rows shared across source degrees
+    extra = {3: (range(46, 81, 6), fp.enumerate_basis(3, 2)), 4: ((30, 39, 48), fp.enumerate_basis(4, 2))}
+    for degrees, entries in list(grid.values()) + list(extra.values()):
+        for d_src in degrees:
             for entry in entries:
-                idx, w = table(m, d_src, entry)
-                ref_idx, ref_w = _loop_scatter_map(m, d_src, entry)
-                assert idx.dtype == ref_idx.dtype and w.dtype == ref_w.dtype
-                assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w), (m, d_src, entry)
+                _assert_reference_table(table, len(entry), d_src, entry)
+
+
+def test_scatter_tables_bit_identical_in_any_build_order():
+    # supports of 1 to 4 coordinates on both sides of _EXACT_DEGREE, asked for
+    # in shuffled order, so the support-row cache grows and is read at
+    # degrees below the largest it has served
+    cases = [(m, d_src, entry)
+             for m, degrees, entries in (
+                 (2, (4, 19, 20, 35, 60), [(1, 0), (0, 2), (1, 1), (2, 1)]),
+                 (3, (10, 18, 25, 40), [(0, 1, 0), (2, 0, 0), (1, 0, 1), (0, 1, 2), (1, 1, 1)]),
+                 (4, (17, 22, 30), [(0, 0, 0, 1), (1, 0, 1, 0), (0, 2, 1, 0), (1, 1, 0, 1), (1, 1, 1, 1)]),
+                 (5, (16, 21, 26), [(0, 0, 1, 0, 0), (1, 0, 0, 1, 0), (0, 1, 1, 0, 1), (1, 1, 1, 1, 0)]))
+             for d_src in degrees for entry in entries]
+    random.Random(71).shuffle(cases)
+    algebra._scatter_map.cache_clear()
+    algebra._support_weight_cache.clear()
+    served = {}
+    for m, d_src, entry in cases:
+        _assert_reference_table(algebra._scatter_map, m, d_src, entry)
+        if d_src + sum(entry) > algebra._EXACT_DEGREE and 0 in entry:
+            key = tuple(e for e in entry if e)
+            served[key] = max(served.get(key, 0), d_src)
+    # one weight per support row of the largest source degree served
+    assert {key: len(w) for key, w in algebra._support_weight_cache.items()} == {
+        key: math.comb(d + len(key), len(key)) for key, d in served.items()}
 
 
 def _scan_nonzero(el):

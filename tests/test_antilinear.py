@@ -25,6 +25,9 @@ def test_symmetry_is_enforced():
     assert ok.dim == 2
     with pytest.raises(fp.DimensionMismatch, match="dim must be >= 1"):
         fp.AntilinearSymmetricMap(np.zeros((0, 0)))
+    # a NaN makes the symmetry deviation NaN, which no tolerance test rejects
+    with pytest.raises(ValueError, match="non-finite"):
+        fp.AntilinearSymmetricMap(np.array([[np.nan, 0.1], [0.2, 0.3]]))
 
 
 def test_apply_is_antilinear():

@@ -178,6 +178,25 @@ def test_malformed_inputs_exit_one(files, capsys, tmp_path):
     assert code == 1  # role mismatch: pair wants antilinear_symmetric
     code, _ = run_cli(capsys, ["norm", "--z", str(tmp_path / "absent.json"), "--method", "closed"])
     assert code == 1
+    # json reads NaN and Infinity; each such cell, and a fractional dim, is named
+    nan = write_matrix(tmp_path / "nan.json", [[np.nan, 0.1], [0.1, 0.3]])
+    asym_nan = write_matrix(tmp_path / "asym_nan.json", [[np.nan, 0.1], [0.2, 0.3]])
+    inf = write_matrix(tmp_path / "inf.json", [[0.2, 0.1], [0.1, complex(0.3, np.inf)]])
+    nan_general = write_matrix(tmp_path / "nan_general.json", [[1.0, 0.0], [0.0, np.nan]], role="general")
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"dim": 2.7, "role": "antilinear_symmetric", "entries": []}))
+    for argv, named in (
+        (["takagi", "--z", nan], "(0,0)"),
+        (["takagi", "--z", asym_nan], "(0,0)"),
+        (["pair", "--x", inf, "--y", files["sigma2"], "--method", "closed"], "(1,1)"),
+        (["norm", "--z", nan, "--method", "series"], "(0,0)"),
+        (["detsqrt", "--matrix", nan_general], "(1,1)"),
+        (["takagi", "--z", str(fractional)], "2.7"),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out, argv
+        assert captured.err.startswith("input error") and named in captured.err, captured.err
 
 
 def test_negative_max_degree_exits_one(files, capsys):
@@ -244,6 +263,8 @@ def test_console_script_installed():
 
 def test_cli_import_leaves_scipy_out():
     # numpy is the only dependency; importing scipy would double the CLI's start-up
-    code = "import sys, fockpair.cli; assert 'scipy' not in sys.modules"
+    # and builds no scatter table, nor any support-row weight, at import
+    code = ("import sys, fockpair.cli; from fockpair import algebra; assert 'scipy' not in sys.modules; "
+            "assert algebra._scatter_map.cache_info().currsize == 0; assert not algebra._support_weight_cache")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
