@@ -55,10 +55,21 @@ def _basis(m: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, _basis_array(m, d).tolist()))
 
 
-@lru_cache(maxsize=None)
+# One read-only table of exact binomials per column count k, with rows 0 to
+# at least the largest n asked for; _binomials grows it and slices it by n.
+_binomial_tables: dict[int, np.ndarray] = {}
+
+
 def _binomials(n: int, k: int) -> np.ndarray:
     """C(i, j) for 0 <= i <= n and 0 <= j <= k, exact in an integer array."""
-    return np.array([[math.comb(i, j) for j in range(k + 1)] for i in range(n + 1)], dtype=np.intp)
+    table = _binomial_tables.get(k)
+    if table is None or len(table) <= n:
+        # at least double, so a run of growing n rebuilds the table rarely
+        rows = n + 1 if table is None else max(n + 1, 2 * len(table))
+        table = np.array([[math.comb(i, j) for j in range(k + 1)] for i in range(rows)], dtype=np.intp)
+        table.flags.writeable = False
+        _binomial_tables[k] = table
+    return table[: n + 1]
 
 
 def _rank(rows: np.ndarray, d: int) -> np.ndarray:
@@ -127,6 +138,10 @@ class GradedElement:
     degrees absent from the map are zero.  max_degree is the stored horizon:
     for truncated series the coefficients above it are unknown rather than
     zero, which the `truncated` flag records.
+
+    The element owns its component arrays and keeps them read-only: an
+    array that is not both read-only and the owner of its data is copied,
+    so a caller's array is never frozen or aliased.
     """
 
     dim: int
@@ -141,7 +156,11 @@ class GradedElement:
         for d, arr in self.components.items():
             if d < 0 or d > self.max_degree:
                 raise ValueError(f"component degree {d} outside [0, {self.max_degree}]")
-            a = np.ascontiguousarray(arr, dtype=complex)
+            if (isinstance(arr, np.ndarray) and arr.dtype == complex and arr.flags.owndata
+                    and arr.flags.c_contiguous and not arr.flags.writeable):
+                a = arr
+            else:
+                a = np.array(arr, dtype=complex, order="C", ndmin=1)
             if a.shape != (basis_size(self.dim, d),):
                 raise DimensionMismatch(
                     f"degree {d} component has length {a.shape}, "
@@ -150,6 +169,20 @@ class GradedElement:
             a.flags.writeable = False
             clean[d] = a
         object.__setattr__(self, "components", clean)
+
+    @classmethod
+    def _fresh(cls, dim: int, components: dict[int, np.ndarray], max_degree: int,
+               truncated: bool) -> "GradedElement":
+        """Element over complex arrays the algebra has just allocated, in shape.
+
+        Skips the checks of __post_init__ and copies nothing; it only freezes
+        the arrays, which no one else holds.
+        """
+        for a in components.values():
+            a.flags.writeable = False
+        el = object.__new__(cls)
+        el.__dict__.update(dim=dim, components=components, max_degree=max_degree, truncated=truncated)
+        return el
 
     def component(self, d: int) -> np.ndarray:
         got = self.components.get(d)
@@ -160,13 +193,24 @@ class GradedElement:
     def degrees(self) -> list[int]:
         return sorted(self.components)
 
-    def nonzero_degrees(self) -> list[int]:
-        # the component arrays are read-only, so one scan serves every call
-        got = self.__dict__.get("_nonzero")
+    def _nonzero_counts(self) -> dict[int, int]:
+        """Nonzero entries per nonzero degree, ascending, from one count per component.
+
+        The element owns its arrays and they are read-only, so the counts
+        are taken once, on the first call, and serve every later one.
+        """
+        got = self.__dict__.get("_nnz")
         if got is None:
-            got = tuple(d for d in self.degrees() if self.components[d].any())
-            object.__setattr__(self, "_nonzero", got)
-        return list(got)
+            got = {}
+            for d in self.degrees():
+                n = np.count_nonzero(self.components[d])
+                if n:
+                    got[d] = n
+            object.__setattr__(self, "_nnz", got)
+        return got
+
+    def nonzero_degrees(self) -> list[int]:
+        return list(self._nonzero_counts())
 
 
 def vacuum(m: int) -> GradedElement:
@@ -182,7 +226,7 @@ def from_vector(x) -> GradedElement:
 
 def scale(phi: GradedElement, s: complex) -> GradedElement:
     comps = {d: s * arr for d, arr in phi.components.items()}
-    return GradedElement(phi.dim, comps, phi.max_degree, phi.truncated)
+    return GradedElement._fresh(phi.dim, comps, phi.max_degree, phi.truncated)
 
 
 def add(a: GradedElement, b: GradedElement) -> GradedElement:
@@ -197,7 +241,7 @@ def add(a: GradedElement, b: GradedElement) -> GradedElement:
         if d > horizon:
             continue
         comps[d] = a.component(d) + b.component(d)
-    return GradedElement(a.dim, comps, horizon, truncated)
+    return GradedElement._fresh(a.dim, comps, horizon, truncated)
 
 
 def inner_product(a: GradedElement, b: GradedElement) -> complex:
@@ -361,11 +405,10 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64) -> Grad
     m = a.dim
     comps: dict[int, np.ndarray] = {}
     dropped = False
-    degs_b = b.nonzero_degrees()
-    for da in a.nonzero_degrees():
+    nnz_b = b._nonzero_counts()
+    for da, nnz_a in a._nonzero_counts().items():
         arr_a = a.components[da]
-        nnz_a = np.count_nonzero(arr_a)
-        for db in degs_b:
+        for db, nnz in nnz_b.items():
             if da + db > cap:
                 dropped = True
                 continue
@@ -374,7 +417,7 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64) -> Grad
             if tgt is None:
                 tgt = comps[da + db] = np.zeros(basis_size(m, da + db), dtype=complex)
             # scatter from the side with fewer nonzero entries
-            if nnz_a <= np.count_nonzero(arr_b):
+            if nnz_a <= nnz:
                 entries, spread, d_spread = arr_a, arr_b, db
             else:
                 entries, spread, d_spread = arr_b, arr_a, da
@@ -384,7 +427,7 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64) -> Grad
                 np.add.at(tgt, idx, entries[k] * w * spread)
     truncated = a.truncated or b.truncated or dropped
     # every stored degree is at most cap and at most a.max_degree + b.max_degree
-    return GradedElement(m, comps, min(cap, a.max_degree + b.max_degree), truncated)
+    return GradedElement._fresh(m, comps, min(cap, a.max_degree + b.max_degree), truncated)
 
 
 def coproduct_oracle(D: tuple[int, ...]):

@@ -69,8 +69,8 @@ def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP, budget: int = _B
         if 2 * n not in term.nonzero_degrees():
             break
         comps[2 * n] = term.components[2 * n]
-    truncated = bool(np.any(zeta.component(2)))
-    return GradedElement(m, comps, max_degree=cap, truncated=truncated)
+    # the components are the fresh arrays of the loop and its products
+    return GradedElement._fresh(m, comps, cap, 2 in zeta.nonzero_degrees())
 
 
 def norm_sq_closed(seed: GaussianSeed) -> float:

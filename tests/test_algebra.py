@@ -212,6 +212,11 @@ def test_rank_is_basis_position():
             got = [tuple(r) for r in rows.tolist()]
             assert got == sorted(set(got), reverse=True) == fp.enumerate_basis(m, d)
             assert len(got) == fp.basis_size(m, d) and all(sum(r) == d for r in got)
+    # the binomial tables grow with n and serve smaller n as slices
+    for n, k in ((50, 3), (4, 3), (20, 20), (0, 1)):
+        table = algebra._binomials(n, k)
+        assert not table.flags.writeable
+        assert table.tolist() == [[math.comb(i, j) for j in range(k + 1)] for i in range(n + 1)]
 
 
 def _assert_reference_table(table, m, d_src, entry):
@@ -333,6 +338,8 @@ def test_symmetric_product_matches_reference_bits():
                         want = _reference_symmetric_product(a, b, cap=cap)
                         assert _same_bits(got, want), (m, da, db, ka, kb, cap)
                         assert got.nonzero_degrees() == _scan_nonzero(want)
+                        assert got._nonzero_counts() == _fresh_counts(want)
+                        assert not any(v.flags.writeable for v in got.components.values())
 
 
 def _reference_gaussian_components(seed, cap):
@@ -461,6 +468,52 @@ def test_component_shape_validation():
         fp.GradedElement(2, {1: np.zeros(3)}, 1)
     with pytest.raises(ValueError):
         fp.GradedElement(2, {3: np.zeros(4)}, 2)
+
+
+def test_public_constructor_never_aliases_caller_arrays():
+    # a writable array is copied, not frozen in place
+    x = np.zeros(3, dtype=complex)
+    el = fp.GradedElement(2, {2: x}, 2)
+    assert x.flags.writeable and el.components[2] is not x
+    x[0] = 1.0
+    assert el.nonzero_degrees() == [] and not el.components[2].any()
+    # a read-only view of a writable base is copied too, so writing the base
+    # neither changes the element nor leaves its cached counts stale
+    base = np.zeros(3, dtype=complex)
+    view = base[:]
+    view.flags.writeable = False
+    el = fp.GradedElement(2, {2: view}, 2)
+    assert el.nonzero_degrees() == []
+    base[1] = 1.0
+    assert el.nonzero_degrees() == [] and not el.components[2].any()
+    assert fp.symmetric_product(el, fp.vacuum(2)).nonzero_degrees() == []
+    # a read-only complex array that owns its data is taken as it is
+    owner = np.arange(3, dtype=complex)
+    owner.flags.writeable = False
+    assert fp.GradedElement(2, {2: owner}, 2).components[2] is owner
+
+
+def _fresh_counts(el):
+    counts = {d: np.count_nonzero(el.components[d]) for d in el.degrees()}
+    return {d: n for d, n in counts.items() if n}
+
+
+def test_nonzero_counts_come_from_the_elements_own_arrays():
+    rng = np.random.default_rng(29)
+    a = random_element(rng, 2, 4, 1.0, truncated=False)
+    b = random_element(rng, 2, 3, 1.0, truncated=False)
+    assert a.nonzero_degrees() == [0, 1, 2, 3, 4]
+    # scaling by zero and underflow give zero components, whatever the input's counts
+    assert fp.scale(a, 0).nonzero_degrees() == []
+    tiny = fp.GradedElement(1, {0: np.array([1e-320])}, 0)
+    assert tiny.nonzero_degrees() == [0]
+    assert fp.scale(tiny, 1e-10).nonzero_degrees() == []
+    assert fp.add(a, fp.scale(a, -1.0)).nonzero_degrees() == []
+    for el in (fp.scale(a, 0.5j), fp.add(a, b), fp.symmetric_product(a, b, cap=5),
+               fp.symmetric_product(fp.scale(a, 0), b)):
+        first = el.nonzero_degrees()
+        assert el._nonzero_counts() == _fresh_counts(el) and first == list(_fresh_counts(el))
+        assert not any(v.flags.writeable for v in el.components.values())
 
 
 def test_add_and_scale():

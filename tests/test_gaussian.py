@@ -166,6 +166,28 @@ def test_negative_cap_rejected():
     assert fp.gaussian_series(seed, cap=0).degrees() == [0]
 
 
+def test_power_loop_validates_no_element_per_power(monkeypatch):
+    # the loop's own elements skip the public constructor's checks, so the
+    # number of checked builds does not grow with the number of powers
+    seed = random_seed(np.random.default_rng(13), 2, 0.8)
+    checked = []
+    validate = fp.GradedElement.__post_init__
+
+    def counting(self):
+        checked.append(self)
+        validate(self)
+
+    monkeypatch.setattr(fp.GradedElement, "__post_init__", counting)
+    builds = []
+    for cap in (2, 40):
+        checked.clear()
+        g = fp.gaussian_series(seed, cap=cap)
+        assert g.nonzero_degrees() == list(range(0, cap + 1, 2))
+        builds.append(len(checked))
+    assert builds[0] == builds[1] <= 1
+    assert not any(v.flags.writeable for v in g.components.values())
+
+
 def test_pair_closed_domain_errors():
     sigma = fp.GaussianSeed.from_map(fp.conjugation(2))
     with pytest.raises(fp.DomainError):
