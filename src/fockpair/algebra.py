@@ -156,11 +156,11 @@ class GradedElement:
         for d, arr in self.components.items():
             if d < 0 or d > self.max_degree:
                 raise ValueError(f"component degree {d} outside [0, {self.max_degree}]")
-            if (isinstance(arr, np.ndarray) and arr.dtype == complex and arr.flags.owndata
-                    and arr.flags.c_contiguous and not arr.flags.writeable):
+            if (isinstance(arr, np.ndarray) and not arr.flags.writeable and arr.flags.owndata
+                    and arr.flags.c_contiguous and arr.dtype == complex):
                 a = arr
             else:
-                a = np.array(arr, dtype=complex, order="C", ndmin=1)
+                a = np.array(arr, dtype=complex, ndmin=1)
             if a.shape != (basis_size(self.dim, d),):
                 raise DimensionMismatch(
                     f"degree {d} component has length {a.shape}, "

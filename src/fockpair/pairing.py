@@ -472,8 +472,9 @@ def hoelder_pairing_check(
 def sequence_element(values, truncated: bool = True) -> GradedElement:
     """One-dimensional graded element from a scalar-per-degree sequence."""
     vals = np.asarray(values, dtype=complex).ravel()
+    # one fresh array of basis size 1 per degree up to the horizon
     comps = {d: np.array([vals[d]]) for d in range(len(vals))}
-    return GradedElement(1, comps, max_degree=len(vals) - 1, truncated=truncated)
+    return GradedElement._fresh(1, comps, len(vals) - 1, truncated)
 
 
 def pair_swap(values) -> np.ndarray:

@@ -494,8 +494,8 @@ def test_public_constructor_never_aliases_caller_arrays():
 
 
 def _fresh_counts(el):
-    counts = {d: np.count_nonzero(el.components[d]) for d in el.degrees()}
-    return {d: n for d, n in counts.items() if n}
+    """Nonzero entries per nonzero degree, from a fresh scan."""
+    return {d: n for d in el.degrees() if (n := np.count_nonzero(el.components[d]))}
 
 
 def test_nonzero_counts_come_from_the_elements_own_arrays():
