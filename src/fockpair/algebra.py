@@ -148,6 +148,8 @@ class GradedElement:
     components: dict[int, np.ndarray] = field(default_factory=dict)
     max_degree: int = 0
     truncated: bool = False
+    # nonzero entries per nonzero degree, filled on first use by _nonzero_counts
+    _nnz: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -181,7 +183,13 @@ class GradedElement:
         for a in components.values():
             a.flags.writeable = False
         el = object.__new__(cls)
-        el.__dict__.update(dim=dim, components=components, max_degree=max_degree, truncated=truncated)
+        # attribute by attribute, in field order, as __init__ stores them
+        set_ = object.__setattr__
+        set_(el, "dim", dim)
+        set_(el, "components", components)
+        set_(el, "max_degree", max_degree)
+        set_(el, "truncated", truncated)
+        set_(el, "_nnz", None)
         return el
 
     def component(self, d: int) -> np.ndarray:
@@ -199,7 +207,7 @@ class GradedElement:
         The element owns its arrays and they are read-only, so the counts
         are taken once, on the first call, and serve every later one.
         """
-        got = self.__dict__.get("_nnz")
+        got = self._nnz
         if got is None:
             got = {}
             for d in self.degrees():
