@@ -183,7 +183,7 @@ class GradedElement:
         for a in components.values():
             a.flags.writeable = False
         el = object.__new__(cls)
-        # attribute by attribute, in field order, as __init__ stores them
+        # in field order, as __init__ sets them, so no instance dict is materialized
         set_ = object.__setattr__
         set_(el, "dim", dim)
         set_(el, "components", components)
