@@ -130,7 +130,7 @@ def _sqrt_multibinom(D: tuple[int, ...], E: tuple[int, ...]) -> float:
     return math.exp(0.5 * lg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedElement:
     """Element of the graded algebra: per-degree coefficient vectors.
 
@@ -142,6 +142,9 @@ class GradedElement:
     The element owns its component arrays and keeps them read-only: an
     array that is not both read-only and the owner of its data is copied,
     so a caller's array is never frozen or aliased.
+
+    Two elements are equal when dim, max_degree, truncated, the stored
+    degrees and every stored component agree; elements are not hashable.
     """
 
     dim: int
@@ -171,6 +174,17 @@ class GradedElement:
             a.flags.writeable = False
             clean[d] = a
         object.__setattr__(self, "components", clean)
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedElement):
+            return NotImplemented
+        return (
+            (self.dim, self.max_degree, self.truncated) == (other.dim, other.max_degree, other.truncated)
+            and self.components.keys() == other.components.keys()
+            and all(np.array_equal(a, other.components[d]) for d, a in self.components.items())
+        )
+
+    __hash__ = None
 
     @classmethod
     def _fresh(cls, dim: int, components: dict[int, np.ndarray], max_degree: int,

@@ -19,9 +19,12 @@ Verdict rules, in the order applied to the nonzero terms:
 
 The plain, scaled and Abel pairings share one weighted-sum kernel: a term
 matrix with one row per t (a single row for the plain and scaled pairings,
-the whole grid for the Abel pairing).  The rules above run row by row, and
-every row they leave open goes through one batched epsilon table, which
-serves both the full and the shortened window of each row.
+the whole grid for the Abel pairing).  The rules above run once per block
+of rows that share a nonzero pattern, as array work over the block, and
+every row they leave open goes through one epsilon call, which serves both
+the full and the shortened window of each row.  That call builds a scalar
+tableau when the table is small and a batched numpy table otherwise; both
+give the same bits.
 """
 
 from __future__ import annotations
@@ -42,6 +45,19 @@ _EPS_TERMS = 220
 _T_GRID_K = range(3, 13)
 # sentinel for epsilon-table entries whose difference vanishes or is not finite
 _HUGE = 1e300
+_SCALAR_SENTINEL = complex(_HUGE)
+# entries at or above this modulus are never candidates
+_USABLE = _HUGE / 10
+# Epsilon tables of at most this many rows x width entries take the scalar
+# tableau, larger ones the numpy table.  The scalar tableau pays per entry,
+# rows x width^2 / 2 of them; the numpy table a fixed dozen or so numpy
+# calls per column.  Measured on a 2-vCPU x86-64 guest (Python 3.11, numpy
+# 2.4, both kernels alternating in one process on one core, two prefixes
+# per row), the two break even at rows x width of about 72 for 10 rows,
+# 100 for 5, 125 for 2 or 3 and 160 for one row.  At 96 a single row is
+# 0.19x-0.64x the numpy table's time, and the worst block it sends to the
+# scalar tableau (10 rows of 8-9) about 1.1x.
+_SCALAR_ENTRIES = 96
 # (real, imaginary) planes of the sentinel, and the signs that turn
 # (1, ratio) / (ratio, 1) into CPython's numerators of 1/d
 _SENTINEL = np.array([[_HUGE], [0.0]])
@@ -56,8 +72,11 @@ class RegularizationConfig:
     max_degree: int = 200
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # an infinite tolerance certifies any epsilon value, a NaN one none
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+        if not isinstance(self.max_degree, (int, np.integer)):
+            raise ValueError(f"max_degree must be an integer, got {self.max_degree!r}")
         if self.max_degree < 0:
             raise ValueError(f"max_degree must be >= 0, got {self.max_degree}")
 
@@ -141,9 +160,14 @@ def wynn_epsilon(sums, lengths=None):
     and float arrays shaped like `lengths`.  Entry (k, j) of the tableau
     reads only s_j ... s_{j+k}, so every prefix of a row is read off the one
     table that row builds.
+
+    A table of at most `_SCALAR_ENTRIES` rows x width entries is built as a
+    scalar tableau, a larger one as a numpy table; both give the same bits.
     """
     s = np.asarray(sums, dtype=complex)
     if s.ndim == 1:
+        if len(s) <= _SCALAR_ENTRIES:
+            return _tableau_row(s.tolist(), [len(s)])[0]
         values, resids = _epsilon_table(s[None, :], np.array([[len(s)]]))
         return complex(values[0, 0]), float(resids[0, 0])
     lengths = np.asarray(lengths)
@@ -151,7 +175,69 @@ def wynn_epsilon(sums, lengths=None):
             or not np.issubdtype(lengths.dtype, np.integer)
             or (lengths.size and not 0 <= lengths.min() <= lengths.max() <= s.shape[1])):
         raise ValueError("a block of sums needs rows x k integer prefix lengths within its rows")
+    if s.shape[0] * lengths.max(initial=0) <= _SCALAR_ENTRIES:
+        return _epsilon_scalar(s, lengths)
     return _epsilon_table(s, lengths)
+
+
+def _modulus(z: complex) -> float:
+    """|z| as np.hypot gives it: infinite where CPython's abs overflows."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _tableau_row(row: list[complex], prefixes: list[int]) -> list[tuple[complex, float]]:
+    """(value, residual) of each prefix of one sequence, off one scalar tableau.
+
+    The entries follow the recurrence of `_epsilon_table` in CPython's
+    complex arithmetic, which that kernel reproduces, so both give the same
+    bits.  Each prefix keeps its best candidate, its residual and the last
+    candidate it accepted while the even columns go by.
+    """
+    width = max(prefixes, default=0)
+    # [value, residual, last accepted value, prefix length]
+    states = []
+    for p in prefixes:
+        if p == 0:
+            states.append([0j, math.inf, 0j, 0])
+        else:
+            last = row[p - 1]
+            states.append([last, _modulus(last - row[p - 2]) if p >= 2 else math.inf, last, p])
+    one, sentinel = 1 + 0j, _SCALAR_SENTINEL
+    prev2, prev = [0j] * width, row[:width]
+    for k in range(1, width):
+        # 1 / d exactly as 1.0 / d; a zero or non-finite d gives the sentinel
+        cur = [q + one / d if (d := b - a) and d - d == 0j else sentinel
+               for a, b, q in zip(prev, prev[1:], prev2[1:])]
+        if k % 2 == 0:
+            for st in states:
+                j = st[3] - 1 - k
+                if j < 0:
+                    continue
+                v = cur[j]
+                if _modulus(v) < _USABLE:
+                    # measured against its left neighbour, or without a usable
+                    # one against the last candidate accepted before it
+                    base = cur[j - 1] if j and _modulus(cur[j - 1]) < _USABLE else st[2]
+                    resid = _modulus(v - base)
+                    # the first of equal residuals wins, and nothing beats a NaN
+                    # residual of the last partial sum
+                    if resid < st[1]:
+                        st[0], st[1] = v, resid
+                    st[2] = v
+        prev2, prev = prev, cur
+    return [(v, r) for v, r, _, _ in states]
+
+
+def _epsilon_scalar(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_epsilon_table` by one scalar tableau per row."""
+    got = [pair for r, prefixes in enumerate(lengths.tolist())
+           for pair in _tableau_row(s[r, :max(prefixes, default=0)].tolist(), prefixes)]
+    values = np.array([v for v, _ in got], dtype=complex).reshape(lengths.shape)
+    resids = np.array([r for _, r in got], dtype=float).reshape(lengths.shape)
+    return values, resids
 
 
 def _epsilon_table(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,76 +330,102 @@ class _SeriesOutcome:
     used_degree: int
 
 
-def _rules(terms: np.ndarray, degrees: np.ndarray, finite: bool, cfg: RegularizationConfig):
-    """Verdict of one weighted term sequence by the rules that need no table.
+def _rules(block: np.ndarray, degrees: np.ndarray, finite: bool, cfg: RegularizationConfig):
+    """Verdicts of weighted rows sharing one nonzero pattern, by the rules that need no table.
 
-    An undecided outcome comes with the partial sums that the epsilon
-    algorithm should still try, or None when the sequence is too short for
-    it.
+    Returns the outcome of every row, the rows left undecided with enough
+    terms for the epsilon algorithm, and their partial sums (one row each).
+    Each rule is array work over the whole block; a row's total is its own
+    1-D sum, which keeps its bits.
     """
-    nz = np.flatnonzero(terms)
-    used = int(degrees[-1]) if len(degrees) else 0
+    rows = len(block)
+    nz = block[0].nonzero()[0]
     if len(nz) == 0:
-        return _SeriesOutcome(0j, "converged", True, 0.0, used), None
-    w = terms[nz]
-    wd = degrees[nz]
-    total = complex(np.sum(w))
+        used = int(degrees[-1]) if len(degrees) else 0
+        return [_SeriesOutcome(0j, "converged", True, 0.0, used)] * rows, [], None
+    w = block[:, nz]
+    used = int(degrees[nz[-1]])
     if finite:
-        return _SeriesOutcome(total, "converged", True, 0.0, int(wd[-1])), None
+        return [_SeriesOutcome(complex(np.sum(row)), "converged", True, 0.0, used) for row in w], [], None
 
     tol = cfg.tolerance
     mags = np.abs(w)
+    undecided = _SeriesOutcome(None, "undecided", False, math.inf, used)
+    outcomes = [undecided] * rows
 
     # divergent: persistent non-vanishing terms past the degree threshold
-    tail_sel = wd > _DIVERGENCE_DEGREE
-    if tail_sel.sum() >= _DIVERGENCE_WINDOW:
-        pos = np.flatnonzero(tail_sel)[-_DIVERGENCE_WINDOW:]
-        window = mags[pos]
-        ratios = window[1:] / window[:-1]
-        if np.all(window >= tol) and np.all(ratios >= 1.0 - 1e-9):
+    tail_sel = degrees[nz] > _DIVERGENCE_DEGREE
+    if np.count_nonzero(tail_sel) >= _DIVERGENCE_WINDOW:
+        pos = tail_sel.nonzero()[0][-_DIVERGENCE_WINDOW:]
+        window = mags[:, pos]
+        ratios = window[:, 1:] / window[:, :-1]
+        growing = (window >= tol).all(axis=1) & (ratios >= 1.0 - 1e-9).all(axis=1)
+        for i in growing.nonzero()[0].tolist():
             # ratios of |c_n| with c_n hypergeometric follow rho*(1 + b/n), so
             # the intercept of a fit against 1/n extrapolates the ratio limit;
             # locally growing but eventually geometric tails (rho < 1) must
             # not be called divergent on a window cut before the turnaround
-            rho_lim = float(np.polyfit(1.0 / pos[1:], ratios, 1)[1])
+            rho_lim = float(np.polyfit(1.0 / pos[1:], ratios[i], 1)[1])
             if rho_lim >= 1.0 - 1e-9:
-                return _SeriesOutcome(None, "divergent", False, math.inf, int(wd[-1])), None
+                outcomes[i] = _SeriesOutcome(None, "divergent", False, math.inf, used)
 
-    # geometric tail
-    if len(mags) >= _RATIO_WINDOW + 1:
-        last = mags[-(_RATIO_WINDOW + 1):]
-        if np.all(last[:-1] > 0):
-            rho = float(np.max(last[1:] / last[:-1]))
-            if rho < 1.0 and np.all(last[1:] <= tol * (1.0 - rho)):
-                tail = float(last[-1]) * rho / (1.0 - rho)
-                return _SeriesOutcome(total, "converged", True, tail, int(wd[-1])), None
+    # geometric tail; the magnitudes are positive by the shared pattern, so a
+    # ratio is NaN only next to a NaN magnitude, which no rho < 1 passes
+    if len(nz) > _RATIO_WINDOW and any(out is undecided for out in outcomes):
+        last = mags[:, -(_RATIO_WINDOW + 1):]
+        rho = (last[:, 1:] / last[:, :-1]).max(axis=1)
+        fits = (rho < 1.0) & (last[:, 1:] <= (tol * (1.0 - rho))[:, None]).all(axis=1)
+        for i in fits.nonzero()[0].tolist():
+            if outcomes[i] is undecided:
+                r = float(rho[i])
+                tail = float(last[i, -1]) * r / (1.0 - r)
+                outcomes[i] = _SeriesOutcome(complex(np.sum(w[i])), "converged", True, tail, used)
 
-    undecided = _SeriesOutcome(None, "undecided", False, math.inf, int(wd[-1]))
-    if len(w) >= 8:
-        return undecided, np.cumsum(w[:_EPS_TERMS])
-    return undecided, None
+    open_rows = [i for i, out in enumerate(outcomes) if out is undecided]
+    if len(nz) < 8 or not open_rows:
+        return outcomes, [], None
+    return outcomes, open_rows, np.cumsum(w[open_rows, :_EPS_TERMS], axis=1)
 
 
-def _sum_weighted(rows, degrees: np.ndarray, finite: bool, cfg: RegularizationConfig) -> list[_SeriesOutcome]:
-    """Apply the verdict rules to each row of already-weighted term sequences.
+def _pattern_blocks(rows: np.ndarray) -> list[list[int]]:
+    """Row indices grouped by nonzero pattern, in order of first appearance."""
+    groups: dict[bytes, list[int]] = {}
+    for i, mask in enumerate(rows != 0):
+        groups.setdefault(mask.tobytes(), []).append(i)
+    return list(groups.values())
 
-    The rows the cheap rules leave open go through one epsilon table, which
-    gives both the full window and the shortened cross-check window of each;
-    convergence is claimed only when the tableau residual and the gap
-    between the two windows both sit below tolerance.
+
+def _sum_weighted(rows: np.ndarray, degrees: np.ndarray, finite: bool, cfg: RegularizationConfig) -> list[_SeriesOutcome]:
+    """Apply the verdict rules to each row of a matrix of weighted term sequences.
+
+    The rules run once per block of rows that share a nonzero pattern.  The
+    rows they leave open go through one epsilon call, which gives both the
+    full window and the shortened cross-check window of each; convergence is
+    claimed only when the tableau residual and the gap between the two
+    windows both sit below tolerance.
     """
-    ruled = [_rules(terms, degrees, finite, cfg) for terms in rows]
-    outcomes = [out for out, _ in ruled]
-    pending = [(i, head) for i, (_, head) in enumerate(ruled) if head is not None]
+    outcomes: list = [None] * len(rows)
+    pending: list[int] = []
+    heads = []
+    for idx in _pattern_blocks(rows):
+        ruled, open_rows, head = _rules(rows if len(idx) == len(rows) else rows[idx], degrees, finite, cfg)
+        for i, out in zip(idx, ruled):
+            outcomes[i] = out
+        if open_rows:
+            pending += [idx[j] for j in open_rows]
+            heads.append(head)
     if not pending:
         return outcomes
-    block = np.zeros((len(pending), max(len(head) for _, head in pending)), dtype=complex)
+    block = np.zeros((len(pending), max(h.shape[1] for h in heads)), dtype=complex)
     lengths = np.empty((len(pending), 2), dtype=np.intp)
-    for r, (_, head) in enumerate(pending):
-        block[r, :len(head)] = head
-        lengths[r] = len(head), max(8, 3 * len(head) // 4)
+    r = 0
+    for h in heads:
+        count, width = h.shape
+        block[r:r + count, :width] = h
+        lengths[r:r + count] = width, max(8, 3 * width // 4)
+        r += count
     values, resids = wynn_epsilon(block, lengths)
-    for (i, _), (v_full, v_part), (r_full, _) in zip(pending, values.tolist(), resids.tolist()):
+    for i, (v_full, v_part), (r_full, _) in zip(pending, values.tolist(), resids.tolist()):
         resid = max(r_full, abs(v_full - v_part))
         if math.isfinite(resid) and resid <= cfg.tolerance:
             outcomes[i] = _SeriesOutcome(v_full, "converged", True, resid, outcomes[i].used_degree)
@@ -331,7 +443,7 @@ def pairing_1(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig 
     terms, finite = degree_terms(phi, psi, cfg.max_degree)
     # the row stays unweighted: a complex product with 1.0 turns an infinite
     # imaginary part into a NaN real part and can flip a signed zero
-    out = _sum_weighted([terms], np.arange(len(terms)), finite, cfg)[0]
+    out = _sum_weighted(terms[None, :], np.arange(len(terms)), finite, cfg)[0]
     return PairingReport(
         value=out.value,
         method="series_1",

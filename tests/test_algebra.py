@@ -493,6 +493,22 @@ def test_public_constructor_never_aliases_caller_arrays():
     assert fp.GradedElement(2, {2: owner}, 2).components[2] is owner
 
 
+def test_element_equality_is_by_value_and_elements_are_unhashable():
+    a, b = fp.from_vector([1.0, 2.0]), fp.from_vector([1.0, 2.0])
+    assert a == b and not a != b
+    # the nonzero-count cache takes no part, nor does the constructor used
+    a.nonzero_degrees()
+    assert a == b and fp.scale(b, 1.0) == a
+    assert a != fp.from_vector([1.0, 3.0])
+    assert a != fp.GradedElement(2, {1: [1.0, 2.0]}, max_degree=2)
+    assert a != fp.GradedElement(2, {1: [1.0, 2.0]}, max_degree=1, truncated=True)
+    # a stored zero degree is not an absent one
+    assert a != fp.GradedElement(2, {0: [0.0], 1: [1.0, 2.0]}, max_degree=1)
+    assert fp.vacuum(2) != fp.vacuum(3) and a != "a" and a != [a]
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
 def _fresh_counts(el):
     """Nonzero entries per nonzero degree, from a fresh scan."""
     return {d: n for d in el.degrees() if (n := np.count_nonzero(el.components[d]))}

@@ -1,5 +1,6 @@
 """Degreewise pairings: exact series, t-scaling, Abel limits, invariances."""
 
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,19 @@ import pytest
 
 import fockpair as fp
 from fockpair import suites
+from fockpair.cli import main
 from fockpair.algebra import basis_size, symmetric_power_matrix
-from fockpair.pairing import PairingReport, _scaled, _sum_weighted, degree_terms, wynn_epsilon
+from fockpair.pairing import (
+    _SCALAR_ENTRIES,
+    PairingReport,
+    _epsilon_scalar,
+    _epsilon_table,
+    _pattern_blocks,
+    _scaled,
+    _sum_weighted,
+    degree_terms,
+    wynn_epsilon,
+)
 from fockpair.suites import random_element
 
 
@@ -257,6 +269,10 @@ def test_abel_grid_matches_pointwise_loop():
         "growing": (1.05 ** np.arange(n), "divergent", grid[3]),
         # bounded random terms: no rule decides once t is close enough to 1
         "random": (rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n), "undecided", grid[1]),
+        # 1e-320 t^(2d) underflows to zero past degree 150 on the three lowest
+        # rows only, so the grid splits into two nonzero patterns, and both
+        # leave rows open for epsilon
+        "underflow": ((-1.0) ** np.arange(n) * np.where(np.arange(n) <= 150, 1.0, 1e-320), "undecided", grid[3]),
     }
     ones = fp.sequence_element(np.ones(n))
     for name, (seq, verdict, failed_t) in cases.items():
@@ -266,7 +282,9 @@ def test_abel_grid_matches_pointwise_loop():
         assert (got.verdict, got.failed_t) == (verdict, failed_t), name
         terms, finite = degree_terms(ones, psi, cfg.max_degree)
         degrees = np.arange(len(terms))
-        rows = _sum_weighted(_scaled(terms, degrees, grid), degrees, finite, cfg)
+        weighted = _scaled(terms, degrees, grid)
+        assert len(_pattern_blocks(weighted)) == (2 if name == "underflow" else 1), name
+        rows = _sum_weighted(weighted, degrees, finite, cfg)
         for t, row in zip(grid, rows):
             rep = fp.pairing_t(ones, psi, t, cfg)
             assert repr((rep.value, rep.verdict, rep.tail_estimate, rep.truncation_degree)) == repr(
@@ -344,11 +362,11 @@ def _same_bits(a, b) -> bool:
     )
 
 
-def _fuzz_sums(rng, i):
-    """Partial sums of one of ten term families, edge cases included."""
-    n = int(rng.integers(0, 48))
+def _fuzz_sums(rng, i, longest=48):
+    """Partial sums of one of eleven term families, edge cases included."""
+    n = int(rng.integers(0, longest))
     k = np.arange(n)
-    family = i % 10
+    family = i % 11
     if family == 0:
         terms = rng.standard_normal(n) * 0.6**k
     elif family == 1:
@@ -369,50 +387,89 @@ def _fuzz_sums(rng, i):
         terms = (-1.0) ** k / (k + 1.0)
     elif family == 8:
         terms = rng.standard_normal(n) * 1e-300
-    else:
+    elif family == 9:
         terms = (-1.0) ** k * (k + 1.0)
+    else:  # an ordinary sequence with one non-finite partial sum
+        terms = rng.standard_normal(n) * 0.5**k
     with np.errstate(all="ignore"):
         sums = np.cumsum(np.asarray(terms, dtype=complex))
     if family == 9 and n:
         sums[rng.integers(0, n)] = sums[0]
+    if family == 10 and n:
+        sums[rng.integers(0, n)] = rng.choice(np.array([np.inf, -np.inf, complex(1.0, np.inf), np.nan]))
     return sums
 
 
+def _assert_prefixes(kernel, block, lengths, want, where):
+    values, resids = kernel(block, np.array(lengths))
+    for row, prefixes in enumerate(lengths):
+        for j, p in enumerate(prefixes):
+            want_value, want_resid = want(row, p)
+            assert _same_bits(values[row, j], want_value), (where, kernel.__name__, row, p)
+            assert _same_bits(resids[row, j], want_resid), (where, kernel.__name__, row, p)
+
+
 def test_wynn_epsilon_matches_scalar_tableau():
+    # both kernels are run directly, and through wynn_epsilon, which picks
+    # one by table size; one sequence in 15 is long enough that one row
+    # alone crosses _SCALAR_ENTRIES
+    assert 48 < _SCALAR_ENTRIES < 130
     rng = np.random.default_rng(1956)
     checked = 0
     for i in range(1200):
-        sums = _fuzz_sums(rng, i)
+        sums = _fuzz_sums(rng, i, 130 if i % 15 == 5 else 48)
         kept = sums.copy()
+        want = _scalar_wynn(sums)
         value, resid = wynn_epsilon(sums)
-        want_value, want_resid = _scalar_wynn(sums)
-        assert _same_bits(value, want_value) and _same_bits(resid, want_resid), (i, sums)
+        assert _same_bits(value, want[0]) and _same_bits(resid, want[1]), (i, sums)
+        for kernel in (_epsilon_scalar, _epsilon_table):
+            _assert_prefixes(kernel, sums[None, :], [[len(sums)]], lambda row, p: want, i)
         assert np.array_equal(sums.view(np.int64), kept.view(np.int64))
         checked += 1
         if i % 3:
             continue
-        # prefixes of three rows read off one table, each equal to its own
-        # call; the short row is padded with NaN, which no prefix may read
+        # prefixes of 1, 2 and (every ninth sequence) 10 rows read off one
+        # table, each equal to its own scalar call; short rows are padded
+        # with NaN, which no prefix may read
+        pool = [sums, sums[::-1], sums[::2]]
+        refs = {}
+
+        def ref(r, p):
+            if (r, p) not in refs:
+                refs[r, p] = _scalar_wynn(pool[r][:p])
+            return refs[r, p]
+
         prefixes = sorted(p for p in {0, 1, 2, 3, len(sums) // 2, 3 * len(sums) // 4, len(sums)} if p <= len(sums))
-        short = sums[::2]
-        block = np.full((3, len(sums)), complex(np.nan, np.nan))
-        block[0], block[1], block[2, :len(short)] = sums, sums[::-1], short
-        lengths = [prefixes, prefixes, [min(p, len(short)) for p in prefixes]]
-        values, resids = wynn_epsilon(block, lengths)
-        for row in range(3):
-            for j, p in enumerate(lengths[row]):
-                want_value, want_resid = _scalar_wynn(block[row, :p])
-                assert _same_bits(values[row, j], want_value), (i, row, p)
-                assert _same_bits(resids[row, j], want_resid), (i, row, p)
+        for rows in ([0], [1, 2], [0, 1, 2, 2, 1, 0, 0, 2, 1, 0])[:3 if i % 9 == 0 else 2]:
+            block = np.full((len(rows), len(sums)), complex(np.nan, np.nan))
+            for k, r in enumerate(rows):
+                block[k, :len(pool[r])] = pool[r]
+            lengths = [[min(p, len(pool[r])) for p in prefixes] for r in rows]
+            for kernel in (wynn_epsilon, _epsilon_scalar, _epsilon_table):
+                _assert_prefixes(kernel, block, lengths, lambda row, p: ref(rows[row], p), (i, rows))
     assert checked >= 1000
 
 
-def test_regularization_config_validation():
-    with pytest.raises(ValueError):
-        fp.RegularizationConfig(tolerance=0.0)
-    with pytest.raises(ValueError, match="max_degree"):
-        fp.RegularizationConfig(max_degree=-1)
+def test_regularization_config_validation(tmp_path, capsys):
+    for tol in (0.0, -1e-8, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            fp.RegularizationConfig(tolerance=tol)
+    for degree in (-1, 20.5, 20.0, "20"):
+        with pytest.raises(ValueError, match="max_degree"):
+            fp.RegularizationConfig(max_degree=degree)
     assert fp.RegularizationConfig(max_degree=0).max_degree == 0
+    assert fp.RegularizationConfig(max_degree=np.int64(20)).max_degree == 20
+    # sum_n (-1)^n (n + 1) diverges; an infinite tolerance would let epsilon
+    # certify its antilimit
+    n = np.arange(201)
+    rep = fp.pairing_1(fp.sequence_element(np.ones(201)), fp.sequence_element((-1.0) ** n * (n + 1)))
+    assert rep.verdict == "divergent"
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"dim": 1, "role": "antilinear_symmetric", "entries": [[{"re": 0.6, "im": 0.0}]]}))
+    for tol in ("inf", "nan"):
+        code = main(["pair", "--x", str(path), "--y", str(path), "--method", "series", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out and "tolerance" in captured.err
     cfg = fp.RegularizationConfig()
     grid = cfg.t_grid()
     assert grid[0] == pytest.approx(1.0 - 2.0**-3)
