@@ -9,9 +9,9 @@ coordinate inner product is a plain conjugated dot product per degree.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -130,109 +130,200 @@ def _sqrt_multibinom(D: tuple[int, ...], E: tuple[int, ...]) -> float:
     return math.exp(0.5 * lg)
 
 
-@dataclass(frozen=True, eq=False)
-class GradedElement:
-    """Element of the graded algebra: per-degree coefficient vectors.
+class _Layout:
+    """Stored degrees of an element, ascending, and where each sits in its buffer.
 
-    components maps degree -> complex vector of length basis_size(dim, d);
-    degrees absent from the map are zero.  max_degree is the stored horizon:
-    for truncated series the coefficients above it are unknown rather than
-    zero, which the `truncated` flag records.
-
-    The element owns its component arrays and keeps them read-only: an
-    array that is not both read-only and the owner of its data is copied,
-    so a caller's array is never frozen or aliased.
-
-    Two elements are equal when dim, max_degree, truncated, the stored
-    degrees and every stored component agree; elements are not hashable.
+    Degree degrees[i] owns buffer[offsets[i]:offsets[i + 1]].  Layouts are
+    shared: every element with the same dim and stored degrees holds the one
+    that _layout returns.
     """
 
-    dim: int
-    components: dict[int, np.ndarray] = field(default_factory=dict)
-    max_degree: int = 0
-    truncated: bool = False
-    # nonzero entries per nonzero degree, filled on first use by _nonzero_counts
-    _nnz: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("degrees", "offsets", "_slices")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, degrees: tuple[int, ...], offsets: tuple[int, ...]):
+        self.degrees = degrees
+        self.offsets = offsets
+        self._slices = None
+
+    @property
+    def slices(self) -> dict[int, slice]:
+        """Degree -> its slice of the buffer, made on first use.
+
+        Lazily, so the layouts of 1-D sequences, read only as a whole, stay small.
+        """
+        if self._slices is None:
+            self._slices = {d: slice(start, end) for d, start, end in zip(self.degrees, self.offsets, self.offsets[1:])}
+        return self._slices
+
+    def count(self, upper: int) -> int:
+        """How many stored degrees are at most upper."""
+        return bisect.bisect_right(self.degrees, upper)
+
+    def index(self, degrees) -> np.ndarray:
+        """Buffer positions of the coefficients of the given stored degrees, in order."""
+        off = np.asarray(self.offsets)
+        at = np.searchsorted(np.asarray(self.degrees), np.asarray(degrees, dtype=np.intp))
+        starts, sizes = off[at], off[at + 1] - off[at]
+        return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+
+
+# bounded, as the public constructor takes any set of degrees
+@lru_cache(maxsize=1024)
+def _layout(m: int, degrees: tuple[int, ...]) -> _Layout:
+    return _Layout(degrees, tuple(itertools.accumulate((basis_size(m, d) for d in degrees), initial=0)))
+
+
+class GradedElement:
+    """Element of the graded algebra: per-degree coefficient vectors in one buffer.
+
+    The coefficients of the stored degrees sit in one contiguous, read-only
+    complex buffer, degree after degree in ascending order; a shared layout
+    gives each degree's offset.  `components` maps degree -> complex vector of
+    length basis_size(dim, d), each a read-only view into the buffer made on
+    access; degrees absent from the map are zero.  max_degree is the stored
+    horizon: for truncated series the coefficients above it are unknown
+    rather than zero, which the `truncated` flag records.
+
+    The element owns its buffer: the constructor copies the components into a
+    new one, except a single component that is already a read-only complex
+    array owning its data, which becomes the buffer as it is.  So a caller's
+    array is never frozen in place, and no memory the caller can still write
+    is shared.
+
+    Two elements are equal when dim, max_degree, truncated, the stored
+    degrees and every stored component agree; elements are immutable and not
+    hashable.
+    """
+
+    __slots__ = ("_dim", "_max_degree", "_truncated", "_layout", "_buf", "_nnz")
+
+    def __init__(self, dim: int, components=None, max_degree: int = 0, truncated: bool = False):
+        if dim < 1:
             raise DimensionMismatch("dim must be >= 1")
-        clean = {}
-        for d, arr in self.components.items():
-            if d < 0 or d > self.max_degree:
-                raise ValueError(f"component degree {d} outside [0, {self.max_degree}]")
-            if (isinstance(arr, np.ndarray) and not arr.flags.writeable and arr.flags.owndata
-                    and arr.flags.c_contiguous and arr.dtype == complex):
-                a = arr
-            else:
-                a = np.array(arr, dtype=complex, ndmin=1)
-            if a.shape != (basis_size(self.dim, d),):
+        arrays = {}
+        for d, arr in (components or {}).items():
+            if d < 0 or d > max_degree:
+                raise ValueError(f"component degree {d} outside [0, {max_degree}]")
+            a = np.asarray(arr, dtype=complex)
+            if a.ndim == 0:
+                a = a.reshape(1)
+            if a.shape != (basis_size(dim, d),):
                 raise DimensionMismatch(
                     f"degree {d} component has length {a.shape}, "
-                    f"expected {basis_size(self.dim, d)}"
+                    f"expected {basis_size(dim, d)}"
                 )
-            a.flags.writeable = False
-            clean[d] = a
-        object.__setattr__(self, "components", clean)
+            arrays[int(d)] = a
+        layout = _layout(dim, tuple(sorted(arrays)))
+        # a lone component that is read-only, complex and owns its data becomes the buffer
+        if len(arrays) == 1 and a.flags.owndata and a.flags.c_contiguous and not a.flags.writeable:
+            buf = a
+        else:
+            buf = np.empty(layout.offsets[-1], dtype=complex)
+            for d, start, end in zip(layout.degrees, layout.offsets, layout.offsets[1:]):
+                buf[start:end] = arrays[d]
+        self._init(dim, layout, buf, max_degree, truncated)
+
+    def _init(self, dim, layout, buf, max_degree, truncated):
+        buf.flags.writeable = False
+        self._dim = dim
+        self._max_degree = max_degree
+        self._truncated = truncated
+        self._layout = layout
+        self._buf = buf
+        # nonzero entries per nonzero degree, filled on first use by _nonzero_counts
+        self._nnz = None
+
+    @classmethod
+    def _fresh(cls, dim: int, layout: _Layout, buf: np.ndarray, max_degree: int,
+               truncated: bool) -> "GradedElement":
+        """Element over a complex buffer the algebra has just allocated for layout.
+
+        Skips the checks of __init__ and copies nothing; it only freezes the
+        buffer, which no one else holds.
+        """
+        el = object.__new__(cls)
+        el._init(dim, layout, buf, max_degree, truncated)
+        return el
+
+    def _moved_to(self, buf: np.ndarray) -> "GradedElement":
+        """The same element over buf, into which its coefficients are copied.
+
+        buf is a free stretch of a larger buffer the algebra has allocated;
+        the nonzero counts carry over with the coefficients.
+        """
+        buf[...] = self._buf
+        el = GradedElement._fresh(self._dim, self._layout, buf, self._max_degree, self._truncated)
+        el._nnz = self._nnz
+        return el
+
+    # read-only, like the buffer
+    dim = property(lambda self: self._dim)
+    max_degree = property(lambda self: self._max_degree)
+    truncated = property(lambda self: self._truncated)
+
+    def __repr__(self):
+        return (f"GradedElement(dim={self.dim!r}, components={self.components!r}, "
+                f"max_degree={self.max_degree!r}, truncated={self.truncated!r})")
 
     def __eq__(self, other):
         if not isinstance(other, GradedElement):
             return NotImplemented
         return (
             (self.dim, self.max_degree, self.truncated) == (other.dim, other.max_degree, other.truncated)
-            and self.components.keys() == other.components.keys()
-            and all(np.array_equal(a, other.components[d]) for d, a in self.components.items())
+            and self._layout.degrees == other._layout.degrees
+            and np.array_equal(self._buf, other._buf)
         )
 
     __hash__ = None
 
-    @classmethod
-    def _fresh(cls, dim: int, components: dict[int, np.ndarray], max_degree: int,
-               truncated: bool) -> "GradedElement":
-        """Element over complex arrays the algebra has just allocated, in shape.
-
-        Skips the checks of __post_init__ and copies nothing; it only freezes
-        the arrays, which no one else holds.
-        """
-        for a in components.values():
-            a.flags.writeable = False
-        el = object.__new__(cls)
-        # in field order, as __init__ sets them, so no instance dict is materialized
-        set_ = object.__setattr__
-        set_(el, "dim", dim)
-        set_(el, "components", components)
-        set_(el, "max_degree", max_degree)
-        set_(el, "truncated", truncated)
-        set_(el, "_nnz", None)
-        return el
+    @property
+    def components(self) -> dict[int, np.ndarray]:
+        buf = self._buf
+        return {d: buf[at] for d, at in self._layout.slices.items()}
 
     def component(self, d: int) -> np.ndarray:
-        got = self.components.get(d)
-        if got is not None:
-            return got
-        return np.zeros(basis_size(self.dim, d), dtype=complex)
+        at = self._layout.slices.get(d)
+        if at is None:
+            return np.zeros(basis_size(self.dim, d), dtype=complex)
+        return self._buf[at]
 
     def degrees(self) -> list[int]:
-        return sorted(self.components)
+        return list(self._layout.degrees)
 
     def _nonzero_counts(self) -> dict[int, int]:
-        """Nonzero entries per nonzero degree, ascending, from one count per component.
+        """Nonzero entries per nonzero degree, ascending, from one pass over the buffer.
 
-        The element owns its arrays and they are read-only, so the counts
-        are taken once, on the first call, and serve every later one.
+        The element owns its buffer and it is read-only, so the counts are
+        taken once, on the first call, and serve every later one.
         """
         got = self._nnz
         if got is None:
-            got = {}
-            for d in self.degrees():
-                n = np.count_nonzero(self.components[d])
-                if n:
-                    got[d] = n
-            object.__setattr__(self, "_nnz", got)
+            lay, buf = self._layout, self._buf
+            if len(lay.degrees) > 1:
+                counts = np.add.reduceat(buf != 0, lay.offsets[:-1], dtype=np.intp).tolist()
+            else:  # one degree or none
+                counts = [np.count_nonzero(buf)]
+            got = {d: n for d, n in zip(lay.degrees, counts) if n}
+            self._nnz = got
         return got
 
     def nonzero_degrees(self) -> list[int]:
         return list(self._nonzero_counts())
+
+
+def _common_degrees(a: GradedElement, b: GradedElement, upper: int) -> tuple[int, ...]:
+    """The degrees both elements store, ascending, up to upper."""
+    da, db = a._layout.degrees, b._layout.degrees
+    degs = da if da == db else tuple(sorted(set(da).intersection(db)))
+    return degs[: bisect.bisect_right(degs, upper)]
+
+
+def _gather(el: GradedElement, degrees: tuple[int, ...]) -> np.ndarray:
+    """The coefficients of the given stored degrees, in order: a view when they lead the buffer."""
+    lay = el._layout
+    if lay.degrees[: len(degrees)] == degrees:
+        return el._buf[: lay.offsets[len(degrees)]]
+    return el._buf[lay.index(degrees)]
 
 
 def vacuum(m: int) -> GradedElement:
@@ -247,8 +338,7 @@ def from_vector(x) -> GradedElement:
 
 
 def scale(phi: GradedElement, s: complex) -> GradedElement:
-    comps = {d: s * arr for d, arr in phi.components.items()}
-    return GradedElement._fresh(phi.dim, comps, phi.max_degree, phi.truncated)
+    return GradedElement._fresh(phi.dim, phi._layout, s * phi._buf, phi.max_degree, phi.truncated)
 
 
 def add(a: GradedElement, b: GradedElement) -> GradedElement:
@@ -258,28 +348,29 @@ def add(a: GradedElement, b: GradedElement) -> GradedElement:
     truncated = a.truncated or b.truncated
     horizons = [x.max_degree for x in (a, b) if x.truncated]
     horizon = min(horizons) if horizons else max(a.max_degree, b.max_degree)
-    comps: dict[int, np.ndarray] = {}
-    for d in set(a.components) | set(b.components):
-        if d > horizon:
-            continue
-        comps[d] = a.component(d) + b.component(d)
-    return GradedElement._fresh(a.dim, comps, horizon, truncated)
+    la, lb = a._layout, b._layout
+    ka, kb = la.count(horizon), lb.count(horizon)
+    if la.degrees == lb.degrees:
+        layout = _layout(a.dim, la.degrees[:ka])
+        buf = a._buf[: la.offsets[ka]] + b._buf[: lb.offsets[kb]]
+    else:
+        layout = _layout(a.dim, tuple(sorted(set(la.degrees[:ka]).union(lb.degrees[:kb]))))
+        buf = np.zeros(layout.offsets[-1], dtype=complex)
+        buf[layout.index(la.degrees[:ka])] = a._buf[: la.offsets[ka]]
+        buf[layout.index(lb.degrees[:kb])] += b._buf[: lb.offsets[kb]]
+    return GradedElement._fresh(a.dim, layout, buf, horizon, truncated)
 
 
 def inner_product(a: GradedElement, b: GradedElement) -> complex:
-    """Sum over degrees of the coordinate inner products.
+    """Coordinate inner product over the degrees both elements store.
 
     Conjugate-linear in the first argument.  Exact for polynomial inputs;
     for truncated inputs only the stored degrees contribute.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("dims differ")
-    upper = min(a.max_degree, b.max_degree)
-    total = 0j
-    for d in sorted(set(a.components) & set(b.components)):
-        if d <= upper:
-            total += np.vdot(a.components[d], b.components[d])
-    return complex(total)
+    degs = _common_degrees(a, b, min(a.max_degree, b.max_degree))
+    return complex(np.vdot(_gather(a, degs), _gather(b, degs)))
 
 
 def permanent_inner_oracle(xs, ys) -> complex:
@@ -346,6 +437,7 @@ def embed_product(vectors, dim: int | None = None) -> GradedElement:
     pos = _basis_pos(m, d)
     for D, coef in acc.items():
         out[pos[D]] = coef * normalization(D)
+    out.flags.writeable = False  # so the element takes it as its buffer
     return GradedElement(m, {d: out}, max_degree=d)
 
 
@@ -370,7 +462,8 @@ def _log_gamma_weights(rows: np.ndarray, ent: tuple[int, ...], d: int) -> np.nda
 # weight is that of its support row (its coordinates on the support), bit for
 # bit.  Each array holds one weight per support row of total at most the
 # largest source degree served, C(d + k, k) for k support coordinates, in the
-# order of _basis_array(k + 1, d)[:, 1:].  Filled by _support_weights.
+# order of _basis_array(k + 1, d)[:, 1:].  Filled by _support_weights; each
+# array is the filled head of a larger one, so the cache grows in place.
 _support_weight_cache: dict[tuple[int, ...], np.ndarray] = {}
 
 
@@ -380,13 +473,20 @@ def _support_weights(ent: tuple[int, ...], rows: np.ndarray, d: int) -> np.ndarr
     Column 0 is never read by _rank.  It stands for the slack, d minus the
     row's total, which makes each row a degree-d row over k + 1 coordinates
     whose rank is its position in the cache.  That order puts the rows of
-    smaller total first, so a larger d extends the cache where it ends.
+    smaller total first, so a larger d extends the cache where it ends: only
+    the new rows are weighed, into spare room that at least doubles whenever
+    it runs out, so the arrays the cache drops are few and leave few holes.
     """
     k = len(ent)
     have = _support_weight_cache.get(ent, np.empty(0))
-    if len(have) < math.comb(d + k, k):
-        new = _basis_array(k + 1, d)[len(have) :, 1:]
-        have = _support_weight_cache[ent] = np.concatenate((have, _log_gamma_weights(new, ent, d)))
+    need = math.comb(d + k, k)
+    if len(have) < need:
+        room = have.base if have.base is not None else have
+        if len(room) < need:
+            room = np.empty(max(need, 2 * len(room)))
+            room[: len(have)] = have
+        room[len(have) : need] = _log_gamma_weights(_basis_array(k + 1, d)[len(have) :, 1:], ent, d)
+        have = _support_weight_cache[ent] = room[:need]
     return have[_rank(rows, d)]
 
 
@@ -425,21 +525,20 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64) -> Grad
     if a.dim != b.dim:
         raise DimensionMismatch("dims differ")
     m = a.dim
-    comps: dict[int, np.ndarray] = {}
+    counts_a, counts_b = a._nonzero_counts(), b._nonzero_counts()
+    layout = _layout(m, tuple(sorted({da + db for da in counts_a for db in counts_b if da + db <= cap})))
+    out = np.zeros(layout.offsets[-1], dtype=complex)
+    at_a, at_b, at_out = a._layout.slices, b._layout.slices, layout.slices
     dropped = False
-    nnz_b = b._nonzero_counts()
-    for da, nnz_a in a._nonzero_counts().items():
-        arr_a = a.components[da]
-        for db, nnz in nnz_b.items():
+    for da, nnz_a in counts_a.items():
+        arr_a = a._buf[at_a[da]]
+        for db, nnz_b in counts_b.items():
             if da + db > cap:
                 dropped = True
                 continue
-            arr_b = b.components[db]
-            tgt = comps.get(da + db)
-            if tgt is None:
-                tgt = comps[da + db] = np.zeros(basis_size(m, da + db), dtype=complex)
+            arr_b, tgt = b._buf[at_b[db]], out[at_out[da + db]]
             # scatter from the side with fewer nonzero entries
-            if nnz_a <= nnz:
+            if nnz_a <= nnz_b:
                 entries, spread, d_spread = arr_a, arr_b, db
             else:
                 entries, spread, d_spread = arr_b, arr_a, da
@@ -449,7 +548,7 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64) -> Grad
                 np.add.at(tgt, idx, entries[k] * w * spread)
     truncated = a.truncated or b.truncated or dropped
     # every stored degree is at most cap and at most a.max_degree + b.max_degree
-    return GradedElement._fresh(m, comps, min(cap, a.max_degree + b.max_degree), truncated)
+    return GradedElement._fresh(m, layout, out, min(cap, a.max_degree + b.max_degree), truncated)
 
 
 def coproduct_oracle(D: tuple[int, ...]):
@@ -496,6 +595,7 @@ def antidual_product(a: GradedElement, b: GradedElement, cap: int = 64) -> Grade
     m = a.dim
     degs_a = set(a.nonzero_degrees())
     degs_b = set(b.nonzero_degrees())
+    comps_a, comps_b = a.components, b.components
     horizon = min(cap, a.max_degree + b.max_degree)
     comps: dict[int, np.ndarray] = {}
     for d in range(horizon + 1):
@@ -509,8 +609,8 @@ def antidual_product(a: GradedElement, b: GradedElement, cap: int = 64) -> Grade
                 if da not in degs_a or (d - da) not in degs_b:
                     continue
                 rest = tuple(di - bi for di, bi in zip(D, B))
-                ca = a.components[da][_basis_pos(m, da)[B]]
-                cb = b.components[d - da][_basis_pos(m, d - da)[rest]]
+                ca = comps_a[da][_basis_pos(m, da)[B]]
+                cb = comps_b[d - da][_basis_pos(m, d - da)[rest]]
                 if ca == 0 or cb == 0:
                     continue
                 # binom(D,B) * sqrt(B! (D-B)!) / sqrt(D!) = sqrt(binom(D,B))
@@ -537,10 +637,8 @@ def evaluate(psi: GradedElement, phi: GradedElement) -> complex:
         raise InsufficientHorizon(
             f"argument has degree {max(over)} beyond the stored horizon {psi.max_degree}"
         )
-    total = 0j
-    for d in phi.nonzero_degrees():
-        total += np.vdot(phi.components[d], psi.component(d))
-    return complex(total)
+    degs = _common_degrees(phi, psi, phi.max_degree)
+    return complex(np.vdot(_gather(phi, degs), _gather(psi, degs)))
 
 
 def symmetric_power_matrix(W: np.ndarray, d: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GradedElement, basis_size, scale, symmetric_product, vacuum
+from .algebra import GradedElement, _layout, basis_size, scale, symmetric_product, vacuum
 from .antilinear import (
     AntilinearSymmetricMap,
     TakagiFactorization,
@@ -51,7 +51,9 @@ def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP, budget: int = _B
 
     Powers are accumulated with a running division by the factorial, so only
     ratios of consecutive coefficients enter and no large factorial is ever
-    formed.  Components sit in even degrees only.
+    formed.  Components sit in even degrees only.  The series buffer is
+    allocated once; each power is copied into it as it is made, and the next
+    power is made from that copy, so no power is held twice.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -60,17 +62,22 @@ def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP, budget: int = _B
     if total > budget:
         raise GuardExceeded(f"series of dim {m} to degree {cap} needs {total} coefficients")
     zeta = seed.quadratic
-    comps = {0: np.ones(1, dtype=complex)}
+    layout = _layout(m, tuple(range(0, cap + 1, 2)))
+    buf = np.empty(total, dtype=complex)
+    buf[0] = 1.0
     term = vacuum(m)
     n = 0
     while 2 * (n + 1) <= cap:
-        n += 1
-        term = symmetric_product(term, scale(zeta, 1.0 / n), cap=cap)
-        if 2 * n not in term.nonzero_degrees():
+        term = symmetric_product(term, scale(zeta, 1.0 / (n + 1)), cap=cap)
+        if 2 * (n + 1) not in term._nonzero_counts():
             break
-        comps[2 * n] = term.components[2 * n]
-    # the components are the fresh arrays of the loop and its products
-    return GradedElement._fresh(m, comps, cap, 2 in zeta.nonzero_degrees())
+        n += 1
+        # the next power is made from the copy, so the product's array is let go
+        term = term._moved_to(buf[layout.offsets[n] : layout.offsets[n + 1]])
+    if n + 1 < len(layout.degrees):  # a power vanished: keep the degrees filled
+        layout = _layout(m, layout.degrees[: n + 1])
+        buf = buf[: layout.offsets[-1]].copy()
+    return GradedElement._fresh(m, layout, buf, cap, 2 in zeta.nonzero_degrees())
 
 
 def norm_sq_closed(seed: GaussianSeed) -> float:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import GradedElement, basis_size
+from .algebra import GradedElement, _common_degrees, _gather, _layout
 from .errors import DimensionMismatch, InsufficientHorizon
 
 _DIVERGENCE_WINDOW = 20
@@ -140,10 +140,34 @@ def degree_terms(phi: GradedElement, psi: GradedElement, max_degree: int | None 
             )
     finite = (not phi.truncated) or (not psi.truncated)
     terms = np.zeros(upper + 1, dtype=complex)
-    for d in sorted(set(phi.components) & set(psi.components)):
-        if d <= upper:
-            terms[d] = np.vdot(phi.components[d], psi.components[d])
+    degs = _common_degrees(phi, psi, upper)
+    if phi.dim == 1:
+        terms[list(degs)] = _conj_products(_gather(phi, degs), _gather(psi, degs))
+    else:
+        at_phi, at_psi = phi._layout.slices, psi._layout.slices
+        for d in degs:
+            terms[d] = np.vdot(phi._buf[at_phi[d]], psi._buf[at_psi[d]])
     return terms, finite
+
+
+def _conj_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """conj(a) * b elementwise, bit for bit what np.vdot gives on each pair.
+
+    np.vdot of one pair forms re = ar br + ai bi and im = ar bi - ai br and
+    adds them to a zero sum, so a -0.0 comes out +0.0 and a self-pairing is
+    exactly real; numpy's complex multiply rounds otherwise.  Where a product
+    overflows or meets inf or NaN, BLAS combines the parts its own way, so
+    those rare entries take np.vdot itself.
+    """
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    out = np.empty(len(a), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(ar * br, ai * bi, out=out.real)
+        np.subtract(ar * bi, ai * br, out=out.imag)
+    out += 0.0
+    for i in np.flatnonzero(~np.isfinite(out)).tolist():
+        out[i] = np.vdot(a[i : i + 1], b[i : i + 1])
+    return out
 
 
 def wynn_epsilon(sums, lengths=None):
@@ -526,27 +550,30 @@ def abel_pairing(phi: GradedElement, psi: GradedElement, cfg: RegularizationConf
 
 def number_op_pow(phi: GradedElement, r: float) -> GradedElement:
     """Scale the degree-d component by d^r; degree zero is left fixed."""
-    comps = {}
-    for d, arr in phi.components.items():
-        comps[d] = arr if d == 0 else (float(d) ** r) * arr
-    return GradedElement(phi.dim, comps, phi.max_degree, phi.truncated)
+    lay = phi._layout
+    weights = [float(d) ** r if d else 1.0 for d in lay.degrees]
+    out = phi._buf * np.repeat(weights, np.diff(lay.offsets))
+    if lay.degrees[:1] == (0,):
+        out[0] = phi._buf[0]
+    return GradedElement._fresh(phi.dim, lay, out, phi.max_degree, phi.truncated)
 
 
 def graded_unitary_apply(blocks: dict[int, np.ndarray], phi: GradedElement, tol: float = 1e-10) -> GradedElement:
     """Apply a degreewise unitary, one block per stored degree."""
-    comps = {}
-    for d, arr in phi.components.items():
+    lay = phi._layout
+    out = np.empty_like(phi._buf)
+    for d, start, end in zip(lay.degrees, lay.offsets, lay.offsets[1:]):
         u = blocks.get(d)
         if u is None:
             raise ValueError(f"no unitary block for degree {d}")
         u = np.asarray(u, dtype=complex)
-        nd = basis_size(phi.dim, d)
+        nd = end - start
         if u.shape != (nd, nd):
             raise DimensionMismatch(f"degree {d} block must be {nd} x {nd}")
         if np.abs(u.conj().T @ u - np.eye(nd)).max() > tol:
             raise ValueError(f"degree {d} block is not unitary within {tol}")
-        comps[d] = u @ arr
-    return GradedElement(phi.dim, comps, phi.max_degree, phi.truncated)
+        out[start:end] = u @ phi._buf[start:end]
+    return GradedElement._fresh(phi.dim, lay, out, phi.max_degree, phi.truncated)
 
 
 def hoelder_norm(phi: GradedElement, p: float, truncation: int | None = None) -> HoelderNorms:
@@ -554,11 +581,15 @@ def hoelder_norm(phi: GradedElement, p: float, truncation: int | None = None) ->
     if p < 1.0:
         raise ValueError("p must be >= 1")
     upper = phi.max_degree if truncation is None else min(truncation, phi.max_degree)
-    norms = [float(np.linalg.norm(arr)) for d, arr in sorted(phi.components.items()) if d <= upper]
+    lay = phi._layout
+    k = lay.count(upper)
+    coeffs = phi._buf[: lay.offsets[k]]
+    squares = coeffs.real**2 + coeffs.imag**2
+    norms = np.sqrt(np.add.reduceat(squares, lay.offsets[:k])) if k else np.zeros(0)
     if math.isinf(p):
-        value = max(norms, default=0.0)
+        value = float(norms.max(initial=0.0))
     else:
-        value = float(np.sum(np.array(norms) ** p) ** (1.0 / p)) if norms else 0.0
+        value = float(np.sum(norms**p) ** (1.0 / p))
     return HoelderNorms(p=p, value=value, truncation_degree=upper)
 
 
@@ -583,10 +614,8 @@ def hoelder_pairing_check(
 
 def sequence_element(values, truncated: bool = True) -> GradedElement:
     """One-dimensional graded element from a scalar-per-degree sequence."""
-    vals = np.asarray(values, dtype=complex).ravel()
-    # one fresh array of basis size 1 per degree up to the horizon
-    comps = {d: np.array([vals[d]]) for d in range(len(vals))}
-    return GradedElement._fresh(1, comps, len(vals) - 1, truncated)
+    vals = np.array(np.ravel(values), dtype=complex)  # a copy the element owns
+    return GradedElement._fresh(1, _layout(1, tuple(range(len(vals)))), vals, len(vals) - 1, truncated)
 
 
 def pair_swap(values) -> np.ndarray:

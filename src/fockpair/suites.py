@@ -163,11 +163,18 @@ def coproduct_evaluation_identity(rng) -> float:
 
 
 def power_inner_product_formula(rng) -> float:
+    """<x^d | y^d> = d! <x|y>^d, relative to the Cauchy-Schwarz bound d! (|x| |y|)^d.
+
+    The coordinate sum adds terms as large as that bound, whatever |<x|y>|
+    is, so its rounding scales with the bound: nearly orthogonal x and y give
+    a small right side but not a small rounding error.
+    """
     m, d = int(rng.integers(1, 4)), int(rng.integers(1, 6))
     x, y = _random_vectors(rng, m, 2)
     lhs = algebra.inner_product(algebra.embed_product([x] * d), algebra.embed_product([y] * d))
     rhs = float(math.factorial(d)) * np.vdot(x, y) ** d
-    return abs(lhs - rhs) / max(1.0, abs(rhs))
+    bound = float(math.factorial(d)) * (float(np.linalg.norm(x)) * float(np.linalg.norm(y))) ** d
+    return abs(lhs - rhs) / max(1.0, bound)
 
 
 def product_commutative_associative(rng) -> float:

@@ -487,10 +487,11 @@ def test_public_constructor_never_aliases_caller_arrays():
     base[1] = 1.0
     assert el.nonzero_degrees() == [] and not el.components[2].any()
     assert fp.symmetric_product(el, fp.vacuum(2)).nonzero_degrees() == []
-    # a read-only complex array that owns its data is taken as it is
+    # a read-only complex array that owns its data is taken as it is: the
+    # element's view of that degree reads the same memory, not a copy
     owner = np.arange(3, dtype=complex)
     owner.flags.writeable = False
-    assert fp.GradedElement(2, {2: owner}, 2).components[2] is owner
+    assert np.shares_memory(fp.GradedElement(2, {2: owner}, 2).components[2], owner)
 
 
 def test_element_equality_is_by_value_and_elements_are_unhashable():

@@ -171,13 +171,13 @@ def test_power_loop_validates_no_element_per_power(monkeypatch):
     # number of checked builds does not grow with the number of powers
     seed = random_seed(np.random.default_rng(13), 2, 0.8)
     checked = []
-    validate = fp.GradedElement.__post_init__
+    validate = fp.GradedElement.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         checked.append(self)
-        validate(self)
+        validate(self, *args, **kwargs)
 
-    monkeypatch.setattr(fp.GradedElement, "__post_init__", counting)
+    monkeypatch.setattr(fp.GradedElement, "__init__", counting)
     builds = []
     for cap in (2, 40):
         checked.clear()

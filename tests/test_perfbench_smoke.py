@@ -1,4 +1,8 @@
-"""Smoke test of the benchmark harness: one short verdict run emits its result line."""
+"""Smoke test of the benchmark harness: short verdict and sweep-warm runs emit their result lines.
+
+Both workloads judge their whole input set against the oracle after the
+window closes, so each run checks every input, however short the window.
+"""
 
 import json
 import subprocess
@@ -6,17 +10,32 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# false `converged` verdicts the engine still gives on the fixed verdict set
+# (ROADMAP item 1); more would be a regression
+KNOWN_VERDICT_FAILURES = 109
 
 
-def test_verdict_workload_emits_result_line():
+def _run(workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "verdict", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
     )
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_verdict_workload_emits_result_line():
+    result = _run("verdict")
     assert result["correct"] is True
     assert result["attempted"] == 400
+    assert result["failed"] <= KNOWN_VERDICT_FAILURES
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert {m["name"] for m in declared} <= set(result["metrics"])
     assert len(declared) == 6
+
+
+def test_sweep_warm_workload_judges_every_input():
+    result = _run("sweep-warm")
+    assert result["correct"] is True
+    assert result["attempted"] == 600
+    assert result["failed"] == 0

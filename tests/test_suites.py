@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fockpair import suites
+from fockpair import algebra, suites
 from fockpair.algebra import basis_size
 
 CHECKS = {
@@ -69,3 +69,14 @@ def test_random_element_matches_degreewise_draws():
 def test_worst_counts_nan_as_failure():
     draws = iter([1e-3, math.nan, 2e-3])
     assert suites.worst(lambda rng: next(draws), np.random.default_rng(0), 3) == math.inf
+
+
+def test_power_inner_product_formula_scales_by_the_cauchy_schwarz_bound(monkeypatch):
+    # seed 3632 draws m = 2, d = 5 with nearly orthogonal x and y: terms up to
+    # d! (|x| |y|)^d ~ 3e6 sum to a right side of ~1e-2, and their rounding
+    # read 1.3e-10 against max(1, |rhs|)
+    assert all(c.passed for c in suites.run_suite("algebra", 3632))
+    # a normalization off by one part in a million still fails the check
+    exact = algebra.normalization
+    monkeypatch.setattr(algebra, "normalization", lambda D: exact(D) * (1.0 + 1e-6))
+    assert suites.worst(suites.power_inner_product_formula, np.random.default_rng(3632), 20) > 1e-10
