@@ -245,17 +245,6 @@ class GradedElement:
         el._init(dim, layout, buf, max_degree, truncated)
         return el
 
-    def _moved_to(self, buf: np.ndarray) -> "GradedElement":
-        """The same element over buf, into which its coefficients are copied.
-
-        buf is a free stretch of a larger buffer the algebra has allocated;
-        the nonzero counts carry over with the coefficients.
-        """
-        buf[...] = self._buf
-        el = GradedElement._fresh(self._dim, self._layout, buf, self._max_degree, self._truncated)
-        el._nnz = self._nnz
-        return el
-
     # read-only, like the buffer
     dim = property(lambda self: self._dim)
     max_degree = property(lambda self: self._max_degree)
@@ -350,14 +339,10 @@ def add(a: GradedElement, b: GradedElement) -> GradedElement:
     horizon = min(horizons) if horizons else max(a.max_degree, b.max_degree)
     la, lb = a._layout, b._layout
     ka, kb = la.count(horizon), lb.count(horizon)
-    if la.degrees == lb.degrees:
-        layout = _layout(a.dim, la.degrees[:ka])
-        buf = a._buf[: la.offsets[ka]] + b._buf[: lb.offsets[kb]]
-    else:
-        layout = _layout(a.dim, tuple(sorted(set(la.degrees[:ka]).union(lb.degrees[:kb]))))
-        buf = np.zeros(layout.offsets[-1], dtype=complex)
-        buf[layout.index(la.degrees[:ka])] = a._buf[: la.offsets[ka]]
-        buf[layout.index(lb.degrees[:kb])] += b._buf[: lb.offsets[kb]]
+    layout = _layout(a.dim, tuple(sorted(set(la.degrees[:ka]).union(lb.degrees[:kb]))))
+    buf = np.zeros(layout.offsets[-1], dtype=complex)
+    buf[layout.index(la.degrees[:ka])] = a._buf[: la.offsets[ka]]
+    buf[layout.index(lb.degrees[:kb])] += b._buf[: lb.offsets[kb]]
     return GradedElement._fresh(a.dim, layout, buf, horizon, truncated)
 
 
@@ -516,18 +501,27 @@ def _scatter_map(m: int, d_src: int, entry: tuple[int, ...]):
     return idx, _support_weights(tuple(entry[i] for i in support), src[:, [0] + support], d_src)
 
 
-def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64) -> GradedElement:
+def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64, *,
+                      out: np.ndarray | None = None) -> GradedElement:
     """Graded product by convolution of coefficient vectors.
 
     The coordinate on D + E receives coef_D * coef_E * sqrt((D+E)!/(D! E!)).
-    Output degrees above cap are dropped and flagged, not an error.
+    Output degrees above cap are dropped and flagged, not an error.  out, if
+    given, is a complex array of exactly the product's coefficient count: it
+    is overwritten and becomes the product's buffer, so the caller must not
+    write it afterwards.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("dims differ")
     m = a.dim
     counts_a, counts_b = a._nonzero_counts(), b._nonzero_counts()
     layout = _layout(m, tuple(sorted({da + db for da in counts_a for db in counts_b if da + db <= cap})))
-    out = np.zeros(layout.offsets[-1], dtype=complex)
+    if out is None:
+        out = np.zeros(layout.offsets[-1], dtype=complex)
+    elif out.dtype != complex or out.shape != (layout.offsets[-1],):
+        raise ValueError(f"out must be a complex array of shape ({layout.offsets[-1]},)")
+    else:
+        out[...] = 0
     at_a, at_b, at_out = a._layout.slices, b._layout.slices, layout.slices
     dropped = False
     for da, nnz_a in counts_a.items():

@@ -52,8 +52,7 @@ def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP, budget: int = _B
     Powers are accumulated with a running division by the factorial, so only
     ratios of consecutive coefficients enter and no large factorial is ever
     formed.  Components sit in even degrees only.  The series buffer is
-    allocated once; each power is copied into it as it is made, and the next
-    power is made from that copy, so no power is held twice.
+    allocated once, and each power is made straight into its slice.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -62,22 +61,22 @@ def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP, budget: int = _B
     if total > budget:
         raise GuardExceeded(f"series of dim {m} to degree {cap} needs {total} coefficients")
     zeta = seed.quadratic
+    grows = 2 in zeta.nonzero_degrees()  # else the powers vanish and the series is exact
     layout = _layout(m, tuple(range(0, cap + 1, 2)))
     buf = np.empty(total, dtype=complex)
     buf[0] = 1.0
     term = vacuum(m)
     n = 0
-    while 2 * (n + 1) <= cap:
-        term = symmetric_product(term, scale(zeta, 1.0 / (n + 1)), cap=cap)
+    while grows and 2 * (n + 1) <= cap:
+        at = buf[layout.offsets[n + 1] : layout.offsets[n + 2]]
+        term = symmetric_product(term, scale(zeta, 1.0 / (n + 1)), cap=cap, out=at)
         if 2 * (n + 1) not in term._nonzero_counts():
             break
         n += 1
-        # the next power is made from the copy, so the product's array is let go
-        term = term._moved_to(buf[layout.offsets[n] : layout.offsets[n + 1]])
     if n + 1 < len(layout.degrees):  # a power vanished: keep the degrees filled
         layout = _layout(m, layout.degrees[: n + 1])
         buf = buf[: layout.offsets[-1]].copy()
-    return GradedElement._fresh(m, layout, buf, cap, 2 in zeta.nonzero_degrees())
+    return GradedElement._fresh(m, layout, buf, cap, grows)
 
 
 def norm_sq_closed(seed: GaussianSeed) -> float:

@@ -342,6 +342,19 @@ def test_symmetric_product_matches_reference_bits():
                         assert not any(v.flags.writeable for v in got.components.values())
 
 
+def test_symmetric_product_into_out_matches_fresh_bits():
+    rng = np.random.default_rng(67)
+    for m in (1, 2, 3):
+        for da, db in (([2], [2]), ([0, 1, 3], [1, 2])):
+            a, b = _factor(rng, m, da, "dense"), _factor(rng, m, db, "single")
+            want = fp.symmetric_product(a, b, cap=4)
+            out = np.full(sum(len(v) for v in want.components.values()), np.nan + 0j)
+            got = fp.symmetric_product(a, b, cap=4, out=out)  # stale entries are overwritten
+            assert _same_bits(got, want) and np.shares_memory(got.components[want.degrees()[0]], out)
+            with pytest.raises(ValueError):
+                fp.symmetric_product(a, b, cap=4, out=np.zeros(len(out) + 1, dtype=complex))
+
+
 def _reference_gaussian_components(seed, cap):
     """The power loop of gaussian_series over the reference product."""
     comps = {0: np.ones(1, dtype=complex)}
