@@ -185,10 +185,8 @@ class GradedElement:
     rather than zero, which the `truncated` flag records.
 
     The element owns its buffer: the constructor copies the components into a
-    new one, except a single component that is already a read-only complex
-    array owning its data, which becomes the buffer as it is.  So a caller's
-    array is never frozen in place, and no memory the caller can still write
-    is shared.
+    new one.  So a caller's array is never frozen in place, and no memory the
+    caller can still write is shared.
 
     Two elements are equal when dim, max_degree, truncated, the stored
     degrees and every stored component agree; elements are immutable and not
@@ -214,13 +212,9 @@ class GradedElement:
                 )
             arrays[int(d)] = a
         layout = _layout(dim, tuple(sorted(arrays)))
-        # a lone component that is read-only, complex and owns its data becomes the buffer
-        if len(arrays) == 1 and a.flags.owndata and a.flags.c_contiguous and not a.flags.writeable:
-            buf = a
-        else:
-            buf = np.empty(layout.offsets[-1], dtype=complex)
-            for d, start, end in zip(layout.degrees, layout.offsets, layout.offsets[1:]):
-                buf[start:end] = arrays[d]
+        buf = np.empty(layout.offsets[-1], dtype=complex)
+        for d, start, end in zip(layout.degrees, layout.offsets, layout.offsets[1:]):
+            buf[start:end] = arrays[d]
         self._init(dim, layout, buf, max_degree, truncated)
 
     def _init(self, dim, layout, buf, max_degree, truncated):
@@ -422,7 +416,6 @@ def embed_product(vectors, dim: int | None = None) -> GradedElement:
     pos = _basis_pos(m, d)
     for D, coef in acc.items():
         out[pos[D]] = coef * normalization(D)
-    out.flags.writeable = False  # so the element takes it as its buffer
     return GradedElement(m, {d: out}, max_degree=d)
 
 

@@ -120,7 +120,6 @@ def quadratic_from_map(zmap: AntilinearSymmetricMap) -> GradedElement:
             out[k] = a[idx[0], idx[0]] / np.sqrt(2.0)
         else:
             out[k] = a[idx[0], idx[1]]
-    out.flags.writeable = False  # so the element takes it as its buffer
     return GradedElement(m, {2: out}, max_degree=2)
 
 

@@ -108,18 +108,6 @@ def _encode(obj):
     return obj
 
 
-def _emit(command: str, config: dict, result, t0: float) -> None:
-    doc = {
-        "command": command,
-        "config": _encode(config),
-        "result": _encode(result),
-        "wall_time_s": time.perf_counter() - t0,
-        "version": __version__,
-    }
-    json.dump(doc, sys.stdout, allow_nan=False)
-    sys.stdout.write("\n")
-
-
 def _verdict_exit(verdict: str) -> int:
     return {"converged": 0, "divergent": 2, "undecided": 3}[verdict]
 
@@ -132,8 +120,7 @@ def _seed_from_file(path: str) -> GaussianSeed:
     return GaussianSeed.from_matrix(load_matrix(path, "antilinear_symmetric"))
 
 
-def _cmd_pair(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_pair(args):
     if args.method == "abel" and args.t is not None:
         raise CliInputError("--t does not apply to --method abel, which takes its own grid t -> 1")
     cfg = _config_from_args(args)
@@ -147,44 +134,34 @@ def _cmd_pair(args) -> int:
         # degree d carries t^(2d), as in the series method; the Gaussian
         # degrees are 2n, so the closed form is evaluated at parameter t^2
         value = gaussian.pair_closed(sx, sy, t * t)
-        _emit("pair", config | {"t": t}, {"value": value, "method": "closed_form"}, t0)
-        return 0
+        return config | {"t": t}, {"value": value, "method": "closed_form"}, 0
     ex = gaussian_series(sx, cap=cfg.max_degree)
     ey = gaussian_series(sy, cap=cfg.max_degree)
     if args.method == "series":
         rep = pairing_1(ex, ey, cfg) if args.t is None else pairing_t(ex, ey, args.t, cfg)
     else:
         rep = abel_pairing(ex, ey, cfg)
-    _emit("pair", config, rep, t0)
-    return _verdict_exit(rep.verdict)
+    return config, rep, _verdict_exit(rep.verdict)
 
 
-def _cmd_norm(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_norm(args):
     cfg = _config_from_args(args)
     sz = _seed_from_file(args.z)
     config = {"method": args.method, "tolerance": cfg.tolerance, "max_degree": cfg.max_degree}
     if args.method == "closed":
-        value = gaussian.norm_sq_closed(sz)
-        _emit("norm", config, {"norm_sq": value, "method": "closed_form"}, t0)
-        return 0
+        return config, {"norm_sq": gaussian.norm_sq_closed(sz), "method": "closed_form"}, 0
     ez = gaussian_series(sz, cap=cfg.max_degree)
     rep = pairing_1(ez, ez, cfg)
-    _emit("norm", config, rep, t0)
-    return _verdict_exit(rep.verdict)
+    return config, rep, _verdict_exit(rep.verdict)
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify(args):
     checks = suites.run_suite(args.suite, args.seed)
     passed = all(c.passed for c in checks)
-    _emit("verify", {"suite": args.suite, "seed": args.seed},
-          {"checks": checks, "passed": passed}, t0)
-    return 0 if passed else 1
+    return {"suite": args.suite, "seed": args.seed}, {"checks": checks, "passed": passed}, 0 if passed else 1
 
 
-def _cmd_takagi(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_takagi(args):
     zmap = antilinear.AntilinearSymmetricMap(load_matrix(args.z, "antilinear_symmetric"))
     fac = antilinear.takagi(zmap)
     recon = float(np.abs(fac.reconstruct() - zmap.matrix).max())
@@ -198,12 +175,10 @@ def _cmd_takagi(args) -> int:
         "operator_norm": norm,
         "siegel_membership": antilinear.siegel_class(norm),
     }
-    _emit("takagi", {"file": args.z}, result, t0)
-    return 0
+    return {"file": args.z}, result, 0
 
 
-def _cmd_detsqrt(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_detsqrt(args):
     mat = load_matrix(args.matrix)
     value = det_sqrt(mat)
     jump, continuation = segment_branch_check(mat)
@@ -213,17 +188,14 @@ def _cmd_detsqrt(args) -> int:
         "max_segment_arg_jump": jump,
         "continuation_residual": continuation,
     }
-    _emit("detsqrt", {"file": args.matrix}, result, t0)
-    return 0
+    return {"file": args.matrix}, result, 0
 
 
-def _cmd_demo(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_demo(args):
     if args.which == "sequence-noninvariance":
         before, after = sequence_noninvariance_demo()
         result = {"before_swap": before, "after_swap": after}
-        _emit("demo", {"which": args.which}, result, t0)
-        return 0 if (before.converged and after.converged) else 3
+        return {"which": args.which}, result, 0 if (before.converged and after.converged) else 3
     ratios = divergence_demo(args.dim)
     expected = [(d + args.dim / 2.0) / (d + 1.0) for d in range(len(ratios))]
     result = {
@@ -231,8 +203,7 @@ def _cmd_demo(args) -> int:
         "expected": expected,
         "max_deviation": max(abs(r - e) for r, e in zip(ratios, expected)),
     }
-    _emit("demo", {"which": args.which, "dim": args.dim}, result, t0)
-    return 0
+    return {"which": args.which, "dim": args.dim}, result, 0
 
 
 def _add_series_flags(p) -> None:
@@ -281,8 +252,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        # each command returns (config, result, exit code); the report is
+        # written here, inside the try, so that a failed write maps to its code
+        config, result, code = args.func(args)
+        doc = {
+            "command": args.cmd,
+            "config": _encode(config),
+            "result": _encode(result),
+            "wall_time_s": time.perf_counter() - t0,
+            "version": __version__,
+        }
+        json.dump(doc, sys.stdout, allow_nan=False)
+        sys.stdout.write("\n")
+        return code
     except CliInputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -17,9 +17,10 @@ Verdict rules, in the order applied to the nonzero terms:
     convergence is claimed only when the tableau residual and a
     shortened-window cross-check both sit below tolerance.
 
-The plain, scaled and Abel pairings share one weighted-sum kernel: a term
-matrix with one row per t (a single row for the plain and scaled pairings,
-the whole grid for the Abel pairing).  The rules above run once per block
+The plain, scaled and Abel pairings share one path, `_series`, into one
+weighted-sum kernel: a term matrix with one row per t (a single row for the
+plain and scaled pairings, the whole grid for the Abel pairing); `_report`
+turns an outcome into the report.  The rules above run once per block
 of rows that share a nonzero pattern, as array work over the block, and
 every row they leave open goes through one epsilon call, which serves both
 the full and the shortened window of each row.  That call builds a scalar
@@ -349,7 +350,6 @@ def _epsilon_table(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
 class _SeriesOutcome:
     value: complex | None
     verdict: str
-    converged: bool
     tail: float
     used_degree: int
 
@@ -366,15 +366,15 @@ def _rules(block: np.ndarray, degrees: np.ndarray, finite: bool, cfg: Regulariza
     nz = block[0].nonzero()[0]
     if len(nz) == 0:
         used = int(degrees[-1]) if len(degrees) else 0
-        return [_SeriesOutcome(0j, "converged", True, 0.0, used)] * rows, [], None
+        return [_SeriesOutcome(0j, "converged", 0.0, used)] * rows, [], None
     w = block[:, nz]
     used = int(degrees[nz[-1]])
     if finite:
-        return [_SeriesOutcome(complex(np.sum(row)), "converged", True, 0.0, used) for row in w], [], None
+        return [_SeriesOutcome(complex(np.sum(row)), "converged", 0.0, used) for row in w], [], None
 
     tol = cfg.tolerance
     mags = np.abs(w)
-    undecided = _SeriesOutcome(None, "undecided", False, math.inf, used)
+    undecided = _SeriesOutcome(None, "undecided", math.inf, used)
     outcomes = [undecided] * rows
 
     # divergent: persistent non-vanishing terms past the degree threshold
@@ -391,7 +391,7 @@ def _rules(block: np.ndarray, degrees: np.ndarray, finite: bool, cfg: Regulariza
             # not be called divergent on a window cut before the turnaround
             rho_lim = float(np.polyfit(1.0 / pos[1:], ratios[i], 1)[1])
             if rho_lim >= 1.0 - 1e-9:
-                outcomes[i] = _SeriesOutcome(None, "divergent", False, math.inf, used)
+                outcomes[i] = _SeriesOutcome(None, "divergent", math.inf, used)
 
     # geometric tail; the magnitudes are positive by the shared pattern, so a
     # ratio is NaN only next to a NaN magnitude, which no rho < 1 passes
@@ -403,7 +403,7 @@ def _rules(block: np.ndarray, degrees: np.ndarray, finite: bool, cfg: Regulariza
             if outcomes[i] is undecided:
                 r = float(rho[i])
                 tail = float(last[i, -1]) * r / (1.0 - r)
-                outcomes[i] = _SeriesOutcome(complex(np.sum(w[i])), "converged", True, tail, used)
+                outcomes[i] = _SeriesOutcome(complex(np.sum(w[i])), "converged", tail, used)
 
     open_rows = [i for i, out in enumerate(outcomes) if out is undecided]
     if len(nz) < 8 or not open_rows:
@@ -452,7 +452,7 @@ def _sum_weighted(rows: np.ndarray, degrees: np.ndarray, finite: bool, cfg: Regu
     for i, (v_full, v_part), (r_full, _) in zip(pending, values.tolist(), resids.tolist()):
         resid = max(r_full, abs(v_full - v_part))
         if math.isfinite(resid) and resid <= cfg.tolerance:
-            outcomes[i] = _SeriesOutcome(v_full, "converged", True, resid, outcomes[i].used_degree)
+            outcomes[i] = _SeriesOutcome(v_full, "converged", resid, outcomes[i].used_degree)
     return outcomes
 
 
@@ -461,40 +461,39 @@ def _scaled(terms: np.ndarray, degrees: np.ndarray, ts) -> np.ndarray:
     return terms * np.asarray(ts, dtype=float)[:, None] ** (2.0 * degrees)
 
 
-def pairing_1(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig | None = None) -> PairingReport:
-    """Plain degreewise series pairing sum_d <phi_d | psi_d>."""
+def _series(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig | None, ts=None) -> list[_SeriesOutcome]:
+    """Outcome of each t in ts (terms weighted by t^{2d}), or of the plain row if ts is None."""
     cfg = cfg or RegularizationConfig()
     terms, finite = degree_terms(phi, psi, cfg.max_degree)
-    # the row stays unweighted: a complex product with 1.0 turns an infinite
-    # imaginary part into a NaN real part and can flip a signed zero
-    out = _sum_weighted(terms[None, :], np.arange(len(terms)), finite, cfg)[0]
+    degrees = np.arange(len(terms))
+    # the plain row stays unweighted: a complex product with 1.0 turns an
+    # infinite imaginary part into a NaN real part and can flip a signed zero
+    rows = terms[None, :] if ts is None else _scaled(terms, degrees, ts)
+    return _sum_weighted(rows, degrees, finite, cfg)
+
+
+def _report(out: _SeriesOutcome, method: str, **fields) -> PairingReport:
     return PairingReport(
         value=out.value,
-        method="series_1",
+        method=method,
         verdict=out.verdict,
-        converged=out.converged,
+        converged=out.verdict == "converged",
         truncation_degree=out.used_degree,
         tail_estimate=out.tail,
+        **fields,
     )
+
+
+def pairing_1(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig | None = None) -> PairingReport:
+    """Plain degreewise series pairing sum_d <phi_d | psi_d>."""
+    return _report(_series(phi, psi, cfg)[0], "series_1")
 
 
 def pairing_t(phi: GradedElement, psi: GradedElement, t: float, cfg: RegularizationConfig | None = None) -> PairingReport:
     """Scaled pairing sum_d <phi_d | psi_d> t^{2d} for 0 < t < 1."""
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly between 0 and 1")
-    cfg = cfg or RegularizationConfig()
-    terms, finite = degree_terms(phi, psi, cfg.max_degree)
-    degrees = np.arange(len(terms))
-    out = _sum_weighted(_scaled(terms, degrees, [t]), degrees, finite, cfg)[0]
-    return PairingReport(
-        value=out.value,
-        method="scaled_t",
-        verdict=out.verdict,
-        converged=out.converged,
-        truncation_degree=out.used_degree,
-        tail_estimate=out.tail,
-        t_grid=(t,),
-    )
+    return _report(_series(phi, psi, cfg, [t])[0], "scaled_t", t_grid=(t,))
 
 
 def abel_pairing(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig | None = None) -> PairingReport:
@@ -509,15 +508,13 @@ def abel_pairing(phi: GradedElement, psi: GradedElement, cfg: RegularizationConf
     """
     cfg = cfg or RegularizationConfig()
     grid = cfg.t_grid()
-    terms, finite = degree_terms(phi, psi, cfg.max_degree)
-    degrees = np.arange(len(terms))
     values: list[complex] = []
     used = 0
     worst_tail = 0.0
     verdict = failed_t = None
-    for t, out in zip(grid, _sum_weighted(_scaled(terms, degrees, grid), degrees, finite, cfg)):
+    for t, out in zip(grid, _series(phi, psi, cfg, grid)):
         used = max(used, out.used_degree)
-        if not out.converged:
+        if out.verdict != "converged":
             verdict, failed_t = out.verdict, t
             break
         worst_tail = max(worst_tail, out.tail)
@@ -528,24 +525,13 @@ def abel_pairing(phi: GradedElement, psi: GradedElement, cfg: RegularizationConf
     if failed_t is None and growing:
         verdict, failed_t = "divergent", grid[-1]
     if failed_t is not None:
-        return PairingReport(
-            value=None, method="abel", verdict=verdict, converged=False,
-            truncation_degree=used, tail_estimate=math.inf,
-            t_grid=tuple(grid), failed_t=failed_t,
-        )
+        outcome = _SeriesOutcome(None, verdict, math.inf, used)
+        return _report(outcome, "abel", t_grid=tuple(grid), failed_t=failed_t)
 
     value, resid = wynn_epsilon(values)
     ok = math.isfinite(resid) and resid <= cfg.tolerance
-    return PairingReport(
-        value=value if ok else None,
-        method="abel",
-        verdict="converged" if ok else "undecided",
-        converged=ok,
-        truncation_degree=used,
-        tail_estimate=worst_tail,
-        t_grid=tuple(grid),
-        extrapolation_residual=float(resid),
-    )
+    outcome = _SeriesOutcome(value if ok else None, "converged" if ok else "undecided", worst_tail, used)
+    return _report(outcome, "abel", t_grid=tuple(grid), extrapolation_residual=float(resid))
 
 
 def number_op_pow(phi: GradedElement, r: float) -> GradedElement:
@@ -570,7 +556,10 @@ def graded_unitary_apply(blocks: dict[int, np.ndarray], phi: GradedElement, tol:
         nd = end - start
         if u.shape != (nd, nd):
             raise DimensionMismatch(f"degree {d} block must be {nd} x {nd}")
-        if np.abs(u.conj().T @ u - np.eye(nd)).max() > tol:
+        with np.errstate(invalid="ignore", over="ignore"):
+            gap = np.abs(u.conj().T @ u - np.eye(nd)).max()
+        # a NaN gap fails this test too
+        if not gap <= tol:
             raise ValueError(f"degree {d} block is not unitary within {tol}")
         out[start:end] = u @ phi._buf[start:end]
     return GradedElement._fresh(phi.dim, lay, out, phi.max_degree, phi.truncated)
@@ -578,7 +567,7 @@ def graded_unitary_apply(blocks: dict[int, np.ndarray], phi: GradedElement, tol:
 
 def hoelder_norm(phi: GradedElement, p: float, truncation: int | None = None) -> HoelderNorms:
     """l^p norm of the degreewise 2-norms up to the truncation degree."""
-    if p < 1.0:
+    if not p >= 1.0:  # NaN included
         raise ValueError("p must be >= 1")
     upper = phi.max_degree if truncation is None else min(truncation, phi.max_degree)
     lay = phi._layout
@@ -602,7 +591,7 @@ def hoelder_pairing_check(
     that reaches past a truncated factor's horizon.
     """
     inv = (0.0 if math.isinf(p) else 1.0 / p) + (0.0 if math.isinf(q) else 1.0 / q)
-    if abs(inv - 1.0) > 1e-12:
+    if not abs(inv - 1.0) <= 1e-12:  # NaN included
         raise ValueError(f"exponents are not conjugate: 1/p + 1/q = {inv}")
     terms, _ = degree_terms(phi, psi, truncation)
     upper = len(terms) - 1

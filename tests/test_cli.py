@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ def write_matrix(path, mat, role="antilinear_symmetric"):
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out) if out.strip() else None
+    doc = json.loads(out) if out.strip() else None
+    if doc is not None:
+        # every report carries the same envelope, named after its subcommand
+        assert set(doc) == {"command", "config", "result", "wall_time_s", "version"}
+        assert doc["command"] == argv[0]
+    return code, doc
 
 
 @pytest.fixture
@@ -251,9 +257,17 @@ def test_load_matrix_symmetrizes_rounded_input(tmp_path):
 def test_console_script_installed():
     exe = shutil.which("fockpair")
     if exe is None:
-        pytest.skip("console script not on PATH")
+        # not installed: check the declared entry point and run that target
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["fockpair"]
+        assert target == "fockpair.cli:main"
+        module, func = target.split(":")
+        cmd = [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+    else:
+        cmd = [exe]
     proc = subprocess.run(
-        [exe, "demo", "divergence", "--dim", "1"], capture_output=True, text=True
+        cmd + ["demo", "divergence", "--dim", "1"], capture_output=True, text=True
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -150,6 +150,11 @@ def test_hoelder_check_rejects_nonconjugate():
     vac = fp.vacuum(1)
     with pytest.raises(ValueError):
         fp.hoelder_pairing_check(vac, vac, 2.0, 3.0)
+    # NaN exponents fail both guards
+    with pytest.raises(ValueError, match="not conjugate"):
+        fp.hoelder_pairing_check(vac, vac, math.nan, math.nan)
+    with pytest.raises(ValueError, match="p must be"):
+        fp.hoelder_norm(vac, math.nan)
 
 
 def test_hoelder_norm_values():
@@ -215,6 +220,10 @@ def test_graded_unitary_apply_errors():
     shrunk[3] = np.eye(2)
     with pytest.raises(fp.DimensionMismatch):
         fp.graded_unitary_apply(shrunk, phi)
+    # a NaN or inf entry makes the unitarity gap NaN, which must not pass
+    for d, bad in ((0, [[np.nan]]), (1, [[np.inf, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ValueError):
+            fp.graded_unitary_apply(good | {d: np.array(bad)}, phi)
 
 
 # ---------------------------------------------------------------- abel
