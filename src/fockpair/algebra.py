@@ -55,21 +55,26 @@ def _basis(m: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, _basis_array(m, d).tolist()))
 
 
-# One read-only table of exact binomials per column count k, with rows 0 to
-# at least the largest n asked for; _binomials grows it and slices it by n.
-_binomial_tables: dict[int, np.ndarray] = {}
+# Read-only tables by key, each serving every smaller size as a slice
+_grown_tables: dict = {}
+
+
+def _grown(key, n: int, build) -> np.ndarray:
+    """Rows 0 to n of the table under key; build(rows) makes one of that many rows."""
+    table = _grown_tables.get(key)
+    if table is None or len(table) <= n:
+        # at least double, so a run of growing n rebuilds the table rarely
+        rows = n + 1 if table is None else max(n + 1, 2 * len(table))
+        table = build(rows)
+        table.flags.writeable = False
+        _grown_tables[key] = table
+    return table[: n + 1]
 
 
 def _binomials(n: int, k: int) -> np.ndarray:
     """C(i, j) for 0 <= i <= n and 0 <= j <= k, exact in an integer array."""
-    table = _binomial_tables.get(k)
-    if table is None or len(table) <= n:
-        # at least double, so a run of growing n rebuilds the table rarely
-        rows = n + 1 if table is None else max(n + 1, 2 * len(table))
-        table = np.array([[math.comb(i, j) for j in range(k + 1)] for i in range(rows)], dtype=np.intp)
-        table.flags.writeable = False
-        _binomial_tables[k] = table
-    return table[: n + 1]
+    return _grown(("binomials", k), n, lambda rows: np.array(
+        [[math.comb(i, j) for j in range(k + 1)] for i in range(rows)], dtype=np.intp))
 
 
 def _rank(rows: np.ndarray, d: int) -> np.ndarray:
@@ -91,10 +96,9 @@ def _rank(rows: np.ndarray, d: int) -> np.ndarray:
     return pos
 
 
-@lru_cache(maxsize=None)
 def _log_factorials(n: int) -> np.ndarray:
     """lgamma(i + 1) for 0 <= i <= n."""
-    return np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    return _grown("log_factorials", n, lambda rows: np.array([math.lgamma(i + 1) for i in range(rows)]))
 
 
 def enumerate_basis(m: int, d: int) -> list[tuple[int, ...]]:

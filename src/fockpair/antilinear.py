@@ -16,6 +16,7 @@ from .algebra import GradedElement, basis_size, enumerate_basis
 from .errors import DimensionMismatch
 
 SYMMETRY_TOL = 1e-12
+_BOUNDARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,8 @@ class AntilinearSymmetricMap:
 
 def conjugation(m: int) -> AntilinearSymmetricMap:
     """Entrywise conjugation in the standard basis (A = identity)."""
+    if m < 1:  # before np.eye, which rejects a negative m in its own words
+        raise DimensionMismatch("dim must be >= 1")
     return AntilinearSymmetricMap(np.eye(m))
 
 
@@ -92,14 +95,14 @@ def operator_norm(zmap: AntilinearSymmetricMap) -> float:
     return float(np.linalg.svd(zmap.matrix, compute_uv=False)[0])
 
 
-def siegel_membership(zmap: AntilinearSymmetricMap, tol: float = 1e-10) -> str:
-    """'open' for norm < 1, 'boundary' within tol of 1, 'outside' beyond."""
-    return siegel_class(operator_norm(zmap), tol)
+def siegel_membership(zmap: AntilinearSymmetricMap) -> str:
+    """'open' for norm < 1, 'boundary' within _BOUNDARY_TOL of 1, 'outside' beyond."""
+    return siegel_class(operator_norm(zmap))
 
 
-def siegel_class(norm: float, tol: float = 1e-10) -> str:
+def siegel_class(norm: float) -> str:
     """siegel_membership of a map whose operator norm is already known."""
-    if abs(norm - 1.0) <= tol:
+    if abs(norm - 1.0) <= _BOUNDARY_TOL:
         return "boundary"
     return "open" if norm < 1.0 else "outside"
 

@@ -15,16 +15,17 @@ import numpy as np
 from .errors import DomainError
 
 _GV_TOL = 1e-12
+_SEGMENT_STEPS = 64
 
 
-def in_gv(t: np.ndarray, tol: float = _GV_TOL) -> bool:
-    """True when the Hermitian part of t is positive definite beyond tol."""
+def in_gv(t: np.ndarray) -> bool:
+    """True when the Hermitian part of t is positive definite beyond _GV_TOL."""
     t = np.asarray(t, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("square matrix required")
     herm = (t + t.conj().T) / 2.0
     smallest = float(np.linalg.eigvalsh(herm)[0])
-    return smallest > tol
+    return smallest > _GV_TOL
 
 
 def det_sqrt(t: np.ndarray) -> complex:
@@ -36,7 +37,7 @@ def det_sqrt(t: np.ndarray) -> complex:
     return complex(np.prod(np.sqrt(eig)))
 
 
-def segment_branch_check(t: np.ndarray, steps: int = 64) -> tuple[float, float]:
+def segment_branch_check(t: np.ndarray) -> tuple[float, float]:
     """Branch-continuity diagnostics along the segment from the identity to t.
 
     Returns (max successive argument jump of det_sqrt along the path,
@@ -48,17 +49,17 @@ def segment_branch_check(t: np.ndarray, steps: int = 64) -> tuple[float, float]:
     m = t.shape[0]
     eye = np.eye(m)
     vals = []
-    for k in range(steps + 1):
-        s = k / steps
+    for k in range(_SEGMENT_STEPS + 1):
+        s = k / _SEGMENT_STEPS
         vals.append(det_sqrt(eye + s * (t - eye)))
     jumps = [
         abs(np.angle(vals[k + 1] / vals[k])) if vals[k] != 0 else np.pi
-        for k in range(steps)
+        for k in range(_SEGMENT_STEPS)
     ]
     # continue sqrt(det) along the path by nearest-choice of sign
     w = 1.0 + 0j
-    for k in range(1, steps + 1):
-        s = k / steps
+    for k in range(1, _SEGMENT_STEPS + 1):
+        s = k / _SEGMENT_STEPS
         d = complex(np.linalg.det(eye + s * (t - eye)))
         root = np.sqrt(d)
         w = root if abs(root - w) <= abs(-root - w) else -root

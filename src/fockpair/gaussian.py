@@ -46,7 +46,7 @@ class GaussianSeed:
         return float(self.factorization.values[0])
 
 
-def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP, budget: int = _BUDGET) -> GradedElement:
+def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP) -> GradedElement:
     """Truncation of exp(Z) = sum_d zeta^d / d! up to total degree cap.
 
     Powers are accumulated with a running division by the factorial, so only
@@ -58,7 +58,7 @@ def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP, budget: int = _B
         raise ValueError(f"cap must be >= 0, got {cap}")
     m = seed.dim
     total = sum(basis_size(m, d) for d in range(0, cap + 1, 2))
-    if total > budget:
+    if total > _BUDGET:
         raise GuardExceeded(f"series of dim {m} to degree {cap} needs {total} coefficients")
     zeta = seed.quadratic
     grows = 2 in zeta.nonzero_degrees()  # else the powers vanish and the series is exact

@@ -17,15 +17,13 @@ Verdict rules, in the order applied to the nonzero terms:
     convergence is claimed only when the tableau residual and a
     shortened-window cross-check both sit below tolerance.
 
-The plain, scaled and Abel pairings share one path, `_series`, into one
-weighted-sum kernel: a term matrix with one row per t (a single row for the
-plain and scaled pairings, the whole grid for the Abel pairing); `_report`
-turns an outcome into the report.  The rules above run once per block
-of rows that share a nonzero pattern, as array work over the block, and
-every row they leave open goes through one epsilon call, which serves both
-the full and the shortened window of each row.  That call builds a scalar
-tableau when the table is small and a batched numpy table otherwise; both
-give the same bits.
+The three pairings share one path, `_series`: a term matrix with one row per
+t (one row for the plain and scaled pairings, the whole grid for the Abel
+pairing), split into blocks of rows that share a nonzero pattern.  `_rules`
+applies every rule above to one block as array work, with one epsilon call
+for the rows the earlier rules leave open; `_report` turns an outcome into
+the report.  The epsilon call builds a scalar tableau when the table is small
+and a batched numpy table otherwise; both give the same bits.
 """
 
 from __future__ import annotations
@@ -44,6 +42,8 @@ _RATIO_WINDOW = 10
 _EPS_TERMS = 220
 # Abel grid t_k = 1 - 2^-k for these k
 _T_GRID_K = range(3, 13)
+_UNITARY_TOL = 1e-10
+_DEMO_POWERS = 31
 # sentinel for epsilon-table entries whose difference vanishes or is not finite
 _HUGE = 1e300
 _SCALAR_SENTINEL = complex(_HUGE)
@@ -191,9 +191,7 @@ def wynn_epsilon(sums, lengths=None):
     """
     s = np.asarray(sums, dtype=complex)
     if s.ndim == 1:
-        if len(s) <= _SCALAR_ENTRIES:
-            return _tableau_row(s.tolist(), [len(s)])[0]
-        values, resids = _epsilon_table(s[None, :], np.array([[len(s)]]))
+        values, resids = wynn_epsilon(s[None, :], np.array([[len(s)]]))
         return complex(values[0, 0]), float(resids[0, 0])
     lengths = np.asarray(lengths)
     if (s.ndim != 2 or lengths.ndim != 2 or lengths.shape[0] != s.shape[0]
@@ -354,28 +352,27 @@ class _SeriesOutcome:
     used_degree: int
 
 
-def _rules(block: np.ndarray, degrees: np.ndarray, finite: bool, cfg: RegularizationConfig):
-    """Verdicts of weighted rows sharing one nonzero pattern, by the rules that need no table.
+def _rules(block: np.ndarray, degrees: np.ndarray, finite: bool, cfg: RegularizationConfig) -> list[_SeriesOutcome]:
+    """Outcome of each weighted row of a block sharing one nonzero pattern.
 
-    Returns the outcome of every row, the rows left undecided with enough
-    terms for the epsilon algorithm, and their partial sums (one row each).
-    Each rule is array work over the whole block; a row's total is its own
-    1-D sum, which keeps its bits.
+    Every rule is array work over the whole block.  The rows the rules
+    before epsilon leave open share one epsilon call for both the full and
+    the shortened window; a row's total is its own 1-D sum, which keeps its
+    bits.
     """
-    rows = len(block)
     nz = block[0].nonzero()[0]
     if len(nz) == 0:
         used = int(degrees[-1]) if len(degrees) else 0
-        return [_SeriesOutcome(0j, "converged", 0.0, used)] * rows, [], None
+        return [_SeriesOutcome(0j, "converged", 0.0, used)] * len(block)
     w = block[:, nz]
     used = int(degrees[nz[-1]])
     if finite:
-        return [_SeriesOutcome(complex(np.sum(row)), "converged", 0.0, used) for row in w], [], None
+        return [_SeriesOutcome(complex(np.sum(row)), "converged", 0.0, used) for row in w]
 
     tol = cfg.tolerance
     mags = np.abs(w)
     undecided = _SeriesOutcome(None, "undecided", math.inf, used)
-    outcomes = [undecided] * rows
+    outcomes = [undecided] * len(block)
 
     # divergent: persistent non-vanishing terms past the degree threshold
     tail_sel = degrees[nz] > _DIVERGENCE_DEGREE
@@ -407,8 +404,16 @@ def _rules(block: np.ndarray, degrees: np.ndarray, finite: bool, cfg: Regulariza
 
     open_rows = [i for i, out in enumerate(outcomes) if out is undecided]
     if len(nz) < 8 or not open_rows:
-        return outcomes, [], None
-    return outcomes, open_rows, np.cumsum(w[open_rows, :_EPS_TERMS], axis=1)
+        return outcomes
+    sums = np.cumsum(w[open_rows, :_EPS_TERMS], axis=1)
+    width = sums.shape[1]
+    lengths = np.array([[width, max(8, 3 * width // 4)]] * len(open_rows))
+    values, resids = wynn_epsilon(sums, lengths)
+    for i, (v_full, v_part), (r_full, _) in zip(open_rows, values.tolist(), resids.tolist()):
+        resid = max(r_full, abs(v_full - v_part))
+        if math.isfinite(resid) and resid <= tol:
+            outcomes[i] = _SeriesOutcome(v_full, "converged", resid, used)
+    return outcomes
 
 
 def _pattern_blocks(rows: np.ndarray) -> list[list[int]]:
@@ -417,43 +422,6 @@ def _pattern_blocks(rows: np.ndarray) -> list[list[int]]:
     for i, mask in enumerate(rows != 0):
         groups.setdefault(mask.tobytes(), []).append(i)
     return list(groups.values())
-
-
-def _sum_weighted(rows: np.ndarray, degrees: np.ndarray, finite: bool, cfg: RegularizationConfig) -> list[_SeriesOutcome]:
-    """Apply the verdict rules to each row of a matrix of weighted term sequences.
-
-    The rules run once per block of rows that share a nonzero pattern.  The
-    rows they leave open go through one epsilon call, which gives both the
-    full window and the shortened cross-check window of each; convergence is
-    claimed only when the tableau residual and the gap between the two
-    windows both sit below tolerance.
-    """
-    outcomes: list = [None] * len(rows)
-    pending: list[int] = []
-    heads = []
-    for idx in _pattern_blocks(rows):
-        ruled, open_rows, head = _rules(rows if len(idx) == len(rows) else rows[idx], degrees, finite, cfg)
-        for i, out in zip(idx, ruled):
-            outcomes[i] = out
-        if open_rows:
-            pending += [idx[j] for j in open_rows]
-            heads.append(head)
-    if not pending:
-        return outcomes
-    block = np.zeros((len(pending), max(h.shape[1] for h in heads)), dtype=complex)
-    lengths = np.empty((len(pending), 2), dtype=np.intp)
-    r = 0
-    for h in heads:
-        count, width = h.shape
-        block[r:r + count, :width] = h
-        lengths[r:r + count] = width, max(8, 3 * width // 4)
-        r += count
-    values, resids = wynn_epsilon(block, lengths)
-    for i, (v_full, v_part), (r_full, _) in zip(pending, values.tolist(), resids.tolist()):
-        resid = max(r_full, abs(v_full - v_part))
-        if math.isfinite(resid) and resid <= cfg.tolerance:
-            outcomes[i] = _SeriesOutcome(v_full, "converged", resid, outcomes[i].used_degree)
-    return outcomes
 
 
 def _scaled(terms: np.ndarray, degrees: np.ndarray, ts) -> np.ndarray:
@@ -469,7 +437,11 @@ def _series(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig | 
     # the plain row stays unweighted: a complex product with 1.0 turns an
     # infinite imaginary part into a NaN real part and can flip a signed zero
     rows = terms[None, :] if ts is None else _scaled(terms, degrees, ts)
-    return _sum_weighted(rows, degrees, finite, cfg)
+    outcomes: list = [None] * len(rows)
+    for idx in _pattern_blocks(rows):
+        for i, out in zip(idx, _rules(rows if len(idx) == len(rows) else rows[idx], degrees, finite, cfg)):
+            outcomes[i] = out
+    return outcomes
 
 
 def _report(out: _SeriesOutcome, method: str, **fields) -> PairingReport:
@@ -544,7 +516,7 @@ def number_op_pow(phi: GradedElement, r: float) -> GradedElement:
     return GradedElement._fresh(phi.dim, lay, out, phi.max_degree, phi.truncated)
 
 
-def graded_unitary_apply(blocks: dict[int, np.ndarray], phi: GradedElement, tol: float = 1e-10) -> GradedElement:
+def graded_unitary_apply(blocks: dict[int, np.ndarray], phi: GradedElement) -> GradedElement:
     """Apply a degreewise unitary, one block per stored degree."""
     lay = phi._layout
     out = np.empty_like(phi._buf)
@@ -559,8 +531,8 @@ def graded_unitary_apply(blocks: dict[int, np.ndarray], phi: GradedElement, tol:
         with np.errstate(invalid="ignore", over="ignore"):
             gap = np.abs(u.conj().T @ u - np.eye(nd)).max()
         # a NaN gap fails this test too
-        if not gap <= tol:
-            raise ValueError(f"degree {d} block is not unitary within {tol}")
+        if not gap <= _UNITARY_TOL:
+            raise ValueError(f"degree {d} block is not unitary within {_UNITARY_TOL}")
         out[start:end] = u @ phi._buf[start:end]
     return GradedElement._fresh(phi.dim, lay, out, phi.max_degree, phi.truncated)
 
@@ -640,7 +612,7 @@ def sequence_noninvariance_demo(cfg: RegularizationConfig | None = None) -> tupl
     return before, after
 
 
-def divergence_demo(m: int, powers: int = 31) -> list[float]:
+def divergence_demo(m: int) -> list[float]:
     """Squared-norm ratios of consecutive Gaussian terms for conjugation.
 
     Returns c_{n+1} / c_n for c_n = |zeta^n / n!|^2, which equals
@@ -651,6 +623,6 @@ def divergence_demo(m: int, powers: int = 31) -> list[float]:
     from .gaussian import GaussianSeed, gaussian_series
 
     seed = GaussianSeed.from_map(conjugation(m))
-    series = gaussian_series(seed, cap=2 * powers)
-    c = [float(np.vdot(series.component(2 * n), series.component(2 * n)).real) for n in range(powers + 1)]
-    return [c[n + 1] / c[n] for n in range(powers)]
+    series = gaussian_series(seed, cap=2 * _DEMO_POWERS)
+    c = [float(np.vdot(series.component(2 * n), series.component(2 * n)).real) for n in range(_DEMO_POWERS + 1)]
+    return [c[n + 1] / c[n] for n in range(_DEMO_POWERS)]

@@ -217,6 +217,12 @@ def test_rank_is_basis_position():
         table = algebra._binomials(n, k)
         assert not table.flags.writeable
         assert table.tolist() == [[math.comb(i, j) for j in range(k + 1)] for i in range(n + 1)]
+    # so do the log factorials: one table, whatever sizes are asked for
+    for n in (0, 7, 300, 40):
+        table = algebra._log_factorials(n)
+        assert not table.flags.writeable
+        assert table.tolist() == [math.lgamma(i + 1) for i in range(n + 1)]
+    assert np.shares_memory(algebra._log_factorials(300), algebra._log_factorials(40))
 
 
 def _assert_reference_table(table, m, d_src, entry):

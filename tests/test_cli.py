@@ -203,6 +203,10 @@ def test_malformed_inputs_exit_one(files, capsys, tmp_path):
         captured = capsys.readouterr()
         assert code == 1 and not captured.out, argv
         assert captured.err.startswith("input error") and named in captured.err, captured.err
+    for dim in ("-1", "0"):
+        code = main(["demo", "divergence", "--dim", dim])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out and "dim must be >= 1" in captured.err, (dim, captured.err)
 
 
 def test_negative_max_degree_exits_one(files, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fockpair as fp
-from fockpair import suites
+from fockpair import gaussian, suites
 from fockpair.antilinear import random_symmetric
 from fockpair.pairing import degree_terms
 
@@ -150,13 +150,15 @@ def test_conjugation_term_ratios():
             assert vals[n + 1] / vals[n] == pytest.approx(expect, rel=1e-10)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     seed = seed_from(0.5 * np.eye(10))
     with pytest.raises(fp.GuardExceeded):
         fp.gaussian_series(seed)
     small = seed_from([[0.5, 0.0], [0.0, 0.5]])
+    # the guard reads the budget at call time
+    monkeypatch.setattr(gaussian, "_BUDGET", 5)
     with pytest.raises(fp.GuardExceeded):
-        fp.gaussian_series(small, cap=20, budget=5)
+        fp.gaussian_series(small, cap=20)
 
 
 def test_negative_cap_rejected():
