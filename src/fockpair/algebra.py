@@ -55,26 +55,31 @@ def _basis(m: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, _basis_array(m, d).tolist()))
 
 
-# Read-only tables by key, each serving every smaller size as a slice
+# Read-only tables by key: the filled head of a larger array, whose spare room
+# takes the rows a larger n asks for
 _grown_tables: dict = {}
 
 
-def _grown(key, n: int, build) -> np.ndarray:
-    """Rows 0 to n of the table under key; build(rows) makes one of that many rows."""
-    table = _grown_tables.get(key)
-    if table is None or len(table) <= n:
-        # at least double, so a run of growing n rebuilds the table rarely
-        rows = n + 1 if table is None else max(n + 1, 2 * len(table))
-        table = build(rows)
-        table.flags.writeable = False
-        _grown_tables[key] = table
-    return table[: n + 1]
+def _grown(key, n: int, fill) -> np.ndarray:
+    """Rows 0 to n of the table under key; fill(start, stop) makes rows start to stop - 1."""
+    head = _grown_tables.get(key)
+    have = 0 if head is None else len(head)
+    if have <= n:
+        rows = fill(have, n + 1)
+        room = rows[:0] if head is None else head.base
+        if len(room) <= n:  # at least double, so the table is rarely copied
+            room, old = np.empty((max(n + 1, 2 * len(room)),) + rows.shape[1:], rows.dtype), room
+            room[:have] = old[:have]
+        room[have : n + 1] = rows
+        head = _grown_tables[key] = room[: n + 1]
+        head.flags.writeable = False
+    return head[: n + 1]
 
 
 def _binomials(n: int, k: int) -> np.ndarray:
     """C(i, j) for 0 <= i <= n and 0 <= j <= k, exact in an integer array."""
-    return _grown(("binomials", k), n, lambda rows: np.array(
-        [[math.comb(i, j) for j in range(k + 1)] for i in range(rows)], dtype=np.intp))
+    return _grown(("binomials", k), n, lambda start, stop: np.array(
+        [[math.comb(i, j) for j in range(k + 1)] for i in range(start, stop)], dtype=np.intp))
 
 
 def _rank(rows: np.ndarray, d: int) -> np.ndarray:
@@ -98,7 +103,8 @@ def _rank(rows: np.ndarray, d: int) -> np.ndarray:
 
 def _log_factorials(n: int) -> np.ndarray:
     """lgamma(i + 1) for 0 <= i <= n."""
-    return _grown("log_factorials", n, lambda rows: np.array([math.lgamma(i + 1) for i in range(rows)]))
+    return _grown(("log_factorials",), n, lambda start, stop: np.array(
+        [math.lgamma(i + 1) for i in range(start, stop)]))
 
 
 def enumerate_basis(m: int, d: int) -> list[tuple[int, ...]]:
@@ -328,20 +334,31 @@ def scale(phi: GradedElement, s: complex) -> GradedElement:
     return GradedElement._fresh(phi.dim, phi._layout, s * phi._buf, phi.max_degree, phi.truncated)
 
 
+def _horizon(a: GradedElement, b: GradedElement, cap: int | None = None) -> int:
+    """Highest degree known to the sum of a and b (cap None) or to their product capped at cap.
+
+    A truncated operand caps it at its own horizon (for a product this
+    leaves out the other factor's lowest nonzero degree, conservatively).
+    """
+    known = max(a._max_degree, b._max_degree) if cap is None else min(cap, a._max_degree + b._max_degree)
+    for x in (a, b):
+        if x._truncated:
+            known = min(known, x._max_degree)
+    return known
+
+
 def add(a: GradedElement, b: GradedElement) -> GradedElement:
     """Sum; the horizon shrinks to the truncated side's, polynomials are exact."""
     if a.dim != b.dim:
         raise DimensionMismatch("dims differ")
-    truncated = a.truncated or b.truncated
-    horizons = [x.max_degree for x in (a, b) if x.truncated]
-    horizon = min(horizons) if horizons else max(a.max_degree, b.max_degree)
+    horizon = _horizon(a, b)
     la, lb = a._layout, b._layout
     ka, kb = la.count(horizon), lb.count(horizon)
     layout = _layout(a.dim, tuple(sorted(set(la.degrees[:ka]).union(lb.degrees[:kb]))))
     buf = np.zeros(layout.offsets[-1], dtype=complex)
     buf[layout.index(la.degrees[:ka])] = a._buf[: la.offsets[ka]]
     buf[layout.index(lb.degrees[:kb])] += b._buf[: lb.offsets[kb]]
-    return GradedElement._fresh(a.dim, layout, buf, horizon, truncated)
+    return GradedElement._fresh(a.dim, layout, buf, horizon, a.truncated or b.truncated)
 
 
 def inner_product(a: GradedElement, b: GradedElement) -> complex:
@@ -438,38 +455,18 @@ def _log_gamma_weights(rows: np.ndarray, ent: tuple[int, ...], d: int) -> np.nda
     return np.array([math.exp(x) for x in exponents.tolist()])[where]
 
 
-# Weights of the log-gamma tables whose entry leaves out a coordinate, keyed by
-# the entry's nonzero exponents in coordinate order.  A coordinate off the
-# support adds 0.0 to _sqrt_multibinom's log-gamma sum, so a source row's
-# weight is that of its support row (its coordinates on the support), bit for
-# bit.  Each array holds one weight per support row of total at most the
-# largest source degree served, C(d + k, k) for k support coordinates, in the
-# order of _basis_array(k + 1, d)[:, 1:].  Filled by _support_weights; each
-# array is the filled head of a larger one, so the cache grows in place.
-_support_weight_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-
 def _support_weights(ent: tuple[int, ...], rows: np.ndarray, d: int) -> np.ndarray:
-    """Cached weights of the support rows rows[:, 1:], each of total at most d.
+    """Log-gamma weights for an entry with nonzero exponents ent that leaves out a coordinate.
 
-    Column 0 is never read by _rank.  It stands for the slack, d minus the
-    row's total, which makes each row a degree-d row over k + 1 coordinates
-    whose rank is its position in the cache.  That order puts the rows of
-    smaller total first, so a larger d extends the cache where it ends: only
-    the new rows are weighed, into spare room that at least doubles whenever
-    it runs out, so the arrays the cache drops are few and leave few holes.
+    An off-support coordinate adds 0.0 to _sqrt_multibinom's log-gamma sum, so
+    a source row weighs what its support row rows[:, 1:] (total <= d) does, bit
+    for bit.  Column 0, never read by _rank, is the slack d minus that total,
+    which ranks each row by its place in one grown table per ent, smaller totals first.
     """
     k = len(ent)
-    have = _support_weight_cache.get(ent, np.empty(0))
-    need = math.comb(d + k, k)
-    if len(have) < need:
-        room = have.base if have.base is not None else have
-        if len(room) < need:
-            room = np.empty(max(need, 2 * len(room)))
-            room[: len(have)] = have
-        room[len(have) : need] = _log_gamma_weights(_basis_array(k + 1, d)[len(have) :, 1:], ent, d)
-        have = _support_weight_cache[ent] = room[:need]
-    return have[_rank(rows, d)]
+    weights = _grown(("support", ent), math.comb(d + k, k) - 1, lambda start, stop: _log_gamma_weights(
+        _basis_array(k + 1, d)[start:stop, 1:], ent, d))
+    return weights[_rank(rows, d)]
 
 
 @lru_cache(maxsize=None)
@@ -482,7 +479,7 @@ def _scatter_map(m: int, d_src: int, entry: tuple[int, ...]):
     exact binomials below _EXACT_DEGREE, the same log-gamma sums above it.
     There, an entry on every coordinate has a support row per source row that
     recurs at no other source degree, so its table is weighed alone; any
-    other entry reads _support_weight_cache, shared across entries and degrees.
+    other entry reads _support_weights, shared across entries and degrees.
     """
     d_tgt = d_src + sum(entry)
     src = _basis_array(m, d_src)
@@ -503,16 +500,17 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64, *,
     """Graded product by convolution of coefficient vectors.
 
     The coordinate on D + E receives coef_D * coef_E * sqrt((D+E)!/(D! E!)).
-    Output degrees above cap are dropped and flagged, not an error.  out, if
-    given, is a complex array of exactly the product's coefficient count: it
-    is overwritten and becomes the product's buffer, so the caller must not
-    write it afterwards.
+    Output degrees above the horizon (see _horizon) are dropped, and the
+    product is flagged truncated, not an error.  out, if given, is a complex
+    array of exactly the product's coefficient count: it is overwritten and
+    becomes the product's buffer, so the caller must not write it afterwards.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("dims differ")
     m = a.dim
+    horizon = _horizon(a, b, cap)
     counts_a, counts_b = a._nonzero_counts(), b._nonzero_counts()
-    layout = _layout(m, tuple(sorted({da + db for da in counts_a for db in counts_b if da + db <= cap})))
+    layout = _layout(m, tuple(sorted({da + db for da in counts_a for db in counts_b if da + db <= horizon})))
     if out is None:
         out = np.zeros(layout.offsets[-1], dtype=complex)
     elif out.dtype != complex or out.shape != (layout.offsets[-1],):
@@ -524,7 +522,7 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64, *,
     for da, nnz_a in counts_a.items():
         arr_a = a._buf[at_a[da]]
         for db, nnz_b in counts_b.items():
-            if da + db > cap:
+            if da + db > horizon:
                 dropped = True
                 continue
             arr_b, tgt = b._buf[at_b[db]], out[at_out[da + db]]
@@ -537,9 +535,7 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64, *,
             for k in entries.nonzero()[0].tolist():
                 idx, w = _scatter_map(m, d_spread, ent_basis[k])
                 np.add.at(tgt, idx, entries[k] * w * spread)
-    truncated = a.truncated or b.truncated or dropped
-    # every stored degree is at most cap and at most a.max_degree + b.max_degree
-    return GradedElement._fresh(m, layout, out, min(cap, a.max_degree + b.max_degree), truncated)
+    return GradedElement._fresh(m, layout, out, horizon, a.truncated or b.truncated or dropped)
 
 
 def coproduct_oracle(D: tuple[int, ...]):
@@ -584,10 +580,9 @@ def antidual_product(a: GradedElement, b: GradedElement, cap: int = 64) -> Grade
     if a.dim != b.dim:
         raise DimensionMismatch("dims differ")
     m = a.dim
-    degs_a = set(a.nonzero_degrees())
-    degs_b = set(b.nonzero_degrees())
+    degs_a, degs_b = a._nonzero_counts(), b._nonzero_counts()
     comps_a, comps_b = a.components, b.components
-    horizon = min(cap, a.max_degree + b.max_degree)
+    horizon = _horizon(a, b, cap)
     comps: dict[int, np.ndarray] = {}
     for d in range(horizon + 1):
         if not any(da in degs_a and (d - da) in degs_b for da in range(d + 1)):
@@ -608,9 +603,16 @@ def antidual_product(a: GradedElement, b: GradedElement, cap: int = 64) -> Grade
                 total += _sqrt_multibinom(B, rest) * ca * cb
             out[i] = total
         comps[d] = out
-    dropped = a.max_degree + b.max_degree > cap
-    truncated = a.truncated or b.truncated or dropped
-    return GradedElement(m, comps, horizon, truncated)
+    dropped = any(da + db > horizon for da in degs_a for db in degs_b)
+    return GradedElement(m, comps, horizon, a.truncated or b.truncated or dropped)
+
+
+def require_covered(poly: GradedElement, series: GradedElement) -> None:
+    """Raise InsufficientHorizon if polynomial poly reaches past truncated series' horizon."""
+    if series.truncated and not poly.truncated:
+        top = max(poly._nonzero_counts(), default=-1)
+        if top > series.max_degree:
+            raise InsufficientHorizon(f"polynomial support {top} exceeds horizon {series.max_degree}")
 
 
 def evaluate(psi: GradedElement, phi: GradedElement) -> complex:
@@ -623,13 +625,8 @@ def evaluate(psi: GradedElement, phi: GradedElement) -> complex:
         raise DimensionMismatch("dims differ")
     if phi.truncated:
         raise ValueError("evaluate needs a polynomial argument, got a truncated series")
-    over = [d for d in phi.nonzero_degrees() if d > psi.max_degree]
-    if over and psi.truncated:
-        raise InsufficientHorizon(
-            f"argument has degree {max(over)} beyond the stored horizon {psi.max_degree}"
-        )
-    degs = _common_degrees(phi, psi, phi.max_degree)
-    return complex(np.vdot(_gather(phi, degs), _gather(psi, degs)))
+    require_covered(phi, psi)
+    return inner_product(phi, psi)
 
 
 def symmetric_power_matrix(W: np.ndarray, d: int) -> np.ndarray:

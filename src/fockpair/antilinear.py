@@ -9,14 +9,17 @@ of U satisfy Z(U e_k) = s_k (U e_k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import GradedElement, basis_size, enumerate_basis
+from .algebra import GradedElement
 from .errors import DimensionMismatch
 
 SYMMETRY_TOL = 1e-12
 _BOUNDARY_TOL = 1e-10
+# (i, j) of the degree-two basis v_i v_j, i <= j, in its order; read, never written
+_upper = lru_cache(maxsize=None)(np.triu_indices)
 
 
 @dataclass(frozen=True)
@@ -114,32 +117,22 @@ def quadratic_from_map(zmap: AntilinearSymmetricMap) -> GradedElement:
     and A_ii / 2 on the diagonal; converting to the orthonormal basis turns
     the diagonal into A_ii / sqrt(2).
     """
-    a = zmap.matrix
-    m = zmap.dim
-    out = np.zeros(basis_size(m, 2), dtype=complex)
-    for k, D in enumerate(enumerate_basis(m, 2)):
-        idx = [i for i, d in enumerate(D) if d]
-        if len(idx) == 1:
-            out[k] = a[idx[0], idx[0]] / np.sqrt(2.0)
-        else:
-            out[k] = a[idx[0], idx[1]]
-    return GradedElement(m, {2: out}, max_degree=2)
+    i, j = _upper(zmap.dim)
+    out = zmap.matrix[i, j]
+    out[i == j] /= np.sqrt(2.0)
+    return GradedElement(zmap.dim, {2: out}, max_degree=2)
 
 
 def map_from_quadratic(zeta: GradedElement) -> AntilinearSymmetricMap:
     """Inverse of quadratic_from_map."""
     if zeta.nonzero_degrees() not in ([], [2]):
         raise ValueError("quadratic element must be concentrated in degree two")
-    m = zeta.dim
+    i, j = _upper(zeta.dim)
     coef = zeta.component(2)
-    a = np.zeros((m, m), dtype=complex)
-    for k, D in enumerate(enumerate_basis(m, 2)):
-        idx = [i for i, d in enumerate(D) if d]
-        if len(idx) == 1:
-            a[idx[0], idx[0]] = coef[k] * np.sqrt(2.0)
-        else:
-            a[idx[0], idx[1]] = coef[k]
-            a[idx[1], idx[0]] = coef[k]
+    a = np.zeros((zeta.dim, zeta.dim), dtype=complex)
+    # off the diagonal the coefficients go in unmultiplied, signed zeros kept
+    a[i, j] = a[j, i] = coef
+    a[np.diag_indices(zeta.dim)] = coef[i == j] * np.sqrt(2.0)
     return AntilinearSymmetricMap(a)
 
 

@@ -59,7 +59,7 @@ def load_matrix(path: str, want_role: str | None = None) -> np.ndarray:
         entries = doc["entries"]
     except KeyError as exc:
         raise CliInputError(f"{path}: missing field {exc}") from exc
-    if not (isinstance(dim, int) or isinstance(dim, float) and dim.is_integer()):
+    if type(dim) is not int and not (type(dim) is float and dim.is_integer()):
         raise CliInputError(f"{path}: dim must be an integer, found {dim!r}")
     m = int(dim)
     if role not in ("antilinear_symmetric", "general"):
@@ -74,8 +74,11 @@ def load_matrix(path: str, want_role: str | None = None) -> np.ndarray:
             raise CliInputError(f"{path}: row {i} must have {m} entries")
         for j, cell in enumerate(row):
             try:
-                re, im = float(cell["re"]), float(cell["im"])
-            except (TypeError, KeyError, ValueError, OverflowError) as exc:
+                re, im = cell["re"], cell["im"]
+                if {type(re), type(im)} - {int, float}:  # json also reads bool and str, which float() takes
+                    raise TypeError(f"re and im must be numbers, found {re!r} and {im!r}")
+                re, im = float(re), float(im)
+            except (TypeError, KeyError, OverflowError) as exc:
                 raise CliInputError(f"{path}: bad entry at ({i},{j}): {exc}") from exc
             # json reads the NaN and Infinity tokens
             if not (math.isfinite(re) and math.isfinite(im)):

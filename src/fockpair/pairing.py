@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import GradedElement, _common_degrees, _gather, _layout
-from .errors import DimensionMismatch, InsufficientHorizon
+from .algebra import GradedElement, _common_degrees, _gather, _layout, require_covered
+from .errors import DimensionMismatch
 
 _DIVERGENCE_WINDOW = 20
 _DIVERGENCE_DEGREE = 50
@@ -115,11 +115,6 @@ class HoelderCheck:
     norm_q: float
 
 
-def _support_max(x: GradedElement) -> int:
-    degs = x.nonzero_degrees()
-    return degs[-1] if degs else -1
-
-
 def degree_terms(phi: GradedElement, psi: GradedElement, max_degree: int | None = None):
     """Term sequence a_d = <phi_d | psi_d> up to the usable horizon.
 
@@ -132,13 +127,8 @@ def degree_terms(phi: GradedElement, psi: GradedElement, max_degree: int | None 
     upper = min(phi.max_degree, psi.max_degree)
     if max_degree is not None:
         upper = min(upper, max_degree)
-    # a polynomial factor reaching past a truncated factor's horizon leaves
-    # genuinely missing terms; refuse rather than sum a hole
-    for poly, series in ((phi, psi), (psi, phi)):
-        if not poly.truncated and series.truncated and _support_max(poly) > series.max_degree:
-            raise InsufficientHorizon(
-                f"polynomial support {_support_max(poly)} exceeds horizon {series.max_degree}"
-            )
+    require_covered(phi, psi)
+    require_covered(psi, phi)
     finite = (not phi.truncated) or (not psi.truncated)
     terms = np.zeros(upper + 1, dtype=complex)
     degs = _common_degrees(phi, psi, upper)
@@ -554,9 +544,7 @@ def hoelder_norm(phi: GradedElement, p: float, truncation: int | None = None) ->
     return HoelderNorms(p=p, value=value, truncation_degree=upper)
 
 
-def hoelder_pairing_check(
-    phi: GradedElement, psi: GradedElement, p: float, q: float, truncation: int | None = None
-) -> HoelderCheck:
+def hoelder_pairing_check(phi: GradedElement, psi: GradedElement, p: float, q: float) -> HoelderCheck:
     """Slack of sum_d |<phi_d|psi_d>| against the product of conjugate norms.
 
     The terms come from `degree_terms`, which refuses a polynomial factor
@@ -565,7 +553,7 @@ def hoelder_pairing_check(
     inv = (0.0 if math.isinf(p) else 1.0 / p) + (0.0 if math.isinf(q) else 1.0 / q)
     if not abs(inv - 1.0) <= 1e-12:  # NaN included
         raise ValueError(f"exponents are not conjugate: 1/p + 1/q = {inv}")
-    terms, _ = degree_terms(phi, psi, truncation)
+    terms, _ = degree_terms(phi, psi)
     upper = len(terms) - 1
     total = float(np.abs(terms).sum())
     np_ = hoelder_norm(phi, p, upper).value
@@ -573,10 +561,10 @@ def hoelder_pairing_check(
     return HoelderCheck(slack=np_ * nq_ - total, sum_abs=total, norm_p=np_, norm_q=nq_)
 
 
-def sequence_element(values, truncated: bool = True) -> GradedElement:
-    """One-dimensional graded element from a scalar-per-degree sequence."""
+def sequence_element(values) -> GradedElement:
+    """One-dimensional truncated series from a scalar-per-degree sequence."""
     vals = np.array(np.ravel(values), dtype=complex)  # a copy the element owns
-    return GradedElement._fresh(1, _layout(1, tuple(range(len(vals)))), vals, len(vals) - 1, truncated)
+    return GradedElement._fresh(1, _layout(1, tuple(range(len(vals)))), vals, len(vals) - 1, True)
 
 
 def pair_swap(values) -> np.ndarray:
@@ -593,7 +581,7 @@ def pair_swap(values) -> np.ndarray:
     return out
 
 
-def sequence_noninvariance_demo(cfg: RegularizationConfig | None = None) -> tuple[PairingReport, PairingReport]:
+def sequence_noninvariance_demo() -> tuple[PairingReport, PairingReport]:
     """Abel pairing before and after a norm-preserving pair swap (dim one).
 
     With lambda_d = 1 and mu_d = (-1)^d the scaled pairing is 1/(1+t^2) with
@@ -601,14 +589,11 @@ def sequence_noninvariance_demo(cfg: RegularizationConfig | None = None) -> tupl
     exhibiting that the Abel pairing is not invariant under unitaries of the
     full graded space (degreewise unitaries do preserve it).
     """
-    cfg = cfg or RegularizationConfig()
-    horizon = cfg.max_degree - (cfg.max_degree % 2)  # even horizon for a clean swap
+    horizon = RegularizationConfig().max_degree // 2 * 2  # even, for a clean swap
     lam = np.ones(horizon + 1)
     mu = np.array([(-1.0) ** d for d in range(horizon + 1)])
-    before = abel_pairing(sequence_element(lam), sequence_element(mu), cfg)
-    after = abel_pairing(
-        sequence_element(pair_swap(lam)), sequence_element(pair_swap(mu)), cfg
-    )
+    before = abel_pairing(sequence_element(lam), sequence_element(mu))
+    after = abel_pairing(sequence_element(pair_swap(lam)), sequence_element(pair_swap(mu)))
     return before, after
 
 

@@ -225,6 +225,25 @@ def test_rank_is_basis_position():
     assert np.shares_memory(algebra._log_factorials(300), algebra._log_factorials(40))
 
 
+def test_grown_table_fills_only_new_rows():
+    filled = []
+
+    def fill(start, stop):
+        filled.append((start, stop))
+        return np.arange(start, stop, dtype=float)
+
+    key = ("test_grown",)
+    try:
+        for n in (3, 5, 4, 20, 21):
+            table = algebra._grown(key, n, fill)
+            assert not table.flags.writeable and table.tolist() == list(range(n + 1))
+        assert filled == [(0, 4), (4, 6), (6, 21), (21, 22)]
+        # the spare room at least doubles whenever it runs out: 4, 8, 21, 42
+        assert len(algebra._grown_tables[key].base) == 42
+    finally:
+        del algebra._grown_tables[key]
+
+
 def _assert_reference_table(table, m, d_src, entry):
     idx, w = table(m, d_src, entry)
     ref_idx, ref_w = _loop_scatter_map(m, d_src, entry)
@@ -251,7 +270,7 @@ def test_scatter_tables_match_loop_reference():
 
 def test_scatter_tables_bit_identical_in_any_build_order():
     # supports of 1 to 4 coordinates on both sides of _EXACT_DEGREE, asked for
-    # in shuffled order, so the support-row cache grows and is read at
+    # in shuffled order, so the support-row weights grow and are read at
     # degrees below the largest it has served
     cases = [(m, d_src, entry)
              for m, degrees, entries in (
@@ -262,7 +281,8 @@ def test_scatter_tables_bit_identical_in_any_build_order():
              for d_src in degrees for entry in entries]
     random.Random(71).shuffle(cases)
     algebra._scatter_map.cache_clear()
-    algebra._support_weight_cache.clear()
+    for key in [key for key in algebra._grown_tables if key[0] == "support"]:
+        del algebra._grown_tables[key]
     served = {}
     for m, d_src, entry in cases:
         _assert_reference_table(algebra._scatter_map, m, d_src, entry)
@@ -270,7 +290,7 @@ def test_scatter_tables_bit_identical_in_any_build_order():
             key = tuple(e for e in entry if e)
             served[key] = max(served.get(key, 0), d_src)
     # one weight per support row of the largest source degree served
-    assert {key: len(w) for key, w in algebra._support_weight_cache.items()} == {
+    assert {key[1]: len(w) for key, w in algebra._grown_tables.items() if key[0] == "support"} == {
         key: math.comb(d + len(key), len(key)) for key, d in served.items()}
 
 
@@ -417,6 +437,41 @@ def test_coproduct_guard():
 
 def test_antidual_product_matches_symmetric_product():
     assert suites.worst(suites.product_routes_agree, np.random.default_rng(21), 25) < 1e-12
+
+
+def test_product_routes_agree_on_horizon_and_truncation():
+    # factors nonzero only in degree 1 but stored to degree 3: every product
+    # degree fits under cap 4, so nothing is dropped and the product is exact
+    a = fp.GradedElement(2, {1: [1.0, 2.0]}, 3)
+    b = fp.GradedElement(2, {1: [0.5, -1.0]}, 3)
+    for prod in (fp.symmetric_product, fp.antidual_product):
+        ab = prod(a, b, cap=4)
+        assert (ab.max_degree, ab.truncated) == (4, False), prod.__name__
+        rep = fp.pairing_1(ab, ab)
+        assert rep.converged and rep.value == pytest.approx(8.5, rel=1e-14)
+    # a truncated factor caps both at its own horizon
+    t = fp.GradedElement(2, {0: [1.0], 1: [0.5, 0.5]}, 2, truncated=True)
+    assert [(p.max_degree, p.truncated) for p in (fp.symmetric_product(a, t), fp.antidual_product(a, t))] == [(2, True)] * 2
+
+
+def test_product_of_truncations_knows_only_their_horizon():
+    # exp(0.3 v^2 / 2) exp(0.4 v^2 / 2) = exp(0.7 v^2 / 2), but two truncations
+    # at degree 20 give the product's coefficients only up to degree 20
+    def series(a, cap):
+        return fp.gaussian_series(fp.GaussianSeed.from_matrix([[a]]), cap)
+
+    exact = series(0.7, 64)
+    top = fp.GradedElement(1, {d: [1.0] for d in range(41)}, 40)
+    for prod in (fp.symmetric_product, fp.antidual_product):
+        ab = prod(series(0.3, 20), series(0.4, 20), cap=64)
+        assert (ab.max_degree, ab.truncated, ab.degrees()) == (20, True, list(range(0, 21, 2))), prod.__name__
+        for d in ab.degrees():
+            assert ab.component(d)[0] == pytest.approx(exact.component(d)[0], rel=1e-13)
+        # the degrees past 20 the product cannot know are refused, not summed
+        with pytest.raises(fp.InsufficientHorizon):
+            fp.pairing_1(top, ab)
+        with pytest.raises(fp.InsufficientHorizon):
+            fp.evaluate(ab, top)
 
 
 def test_antidual_product_defining_identity():

@@ -122,6 +122,14 @@ def test_siegel_membership():
 # ---------------------------------------------------------------- quadratic correspondence
 
 
+def test_degree_two_basis_is_upper_triangle():
+    # quadratic_from_map and map_from_quadratic read v_i v_j, i <= j, in this order
+    for m in range(1, 7):
+        i, j = np.triu_indices(m)
+        pairs = [tuple(k for k, e in enumerate(D) for _ in range(e)) for D in fp.enumerate_basis(m, 2)]
+        assert pairs == list(zip(i.tolist(), j.tolist()))
+
+
 def test_quadratic_one_dimensional():
     a = 0.8 - 0.1j
     zeta = fp.quadratic_from_map(fp.AntilinearSymmetricMap(np.array([[a]])))

@@ -191,14 +191,40 @@ def test_malformed_inputs_exit_one(files, capsys, tmp_path):
     nan_general = write_matrix(tmp_path / "nan_general.json", [[1.0, 0.0], [0.0, np.nan]], role="general")
     fractional = tmp_path / "fractional.json"
     fractional.write_text(json.dumps({"dim": 2.7, "role": "antilinear_symmetric", "entries": []}))
-    for argv, named in (
+    # every other way a file can fail to be a matrix file; booleans and
+    # strings are not numbers, though float() would take them
+    cell = {"re": 0.25, "im": 0.0}
+    shapes = {
+        "list": ([[cell]], "expected a JSON object"),
+        "role": ({"dim": 1, "role": "hermitian", "entries": [[cell]]}, "unknown role 'hermitian'"),
+        "rows": ({"dim": 2, "role": "antilinear_symmetric", "entries": [[cell, cell]]}, "entries must form a 2 x 2 array"),
+        "row": ({"dim": 2, "role": "antilinear_symmetric", "entries": [[cell, cell], [cell]]}, "row 1 must have 2 entries"),
+        "cell": ({"dim": 1, "role": "antilinear_symmetric", "entries": [[{"re": 0.25}]]}, "bad entry at (0,0)"),
+        "bool_dim": ({"dim": True, "role": "antilinear_symmetric", "entries": [[{"re": True, "im": "0.25"}]]},
+                     "dim must be an integer, found True"),
+        "bool_re": ({"dim": 1, "role": "antilinear_symmetric", "entries": [[{"re": True, "im": 0.0}]]},
+                    "bad entry at (0,0): re and im must be numbers, found True and 0.0"),
+        "str_im": ({"dim": 1, "role": "antilinear_symmetric", "entries": [[{"re": 0.25, "im": "0.25"}]]},
+                   "bad entry at (0,0): re and im must be numbers, found 0.25 and '0.25'"),
+    }
+    malformed = []
+    for name, (doc, named) in shapes.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        malformed.append((["takagi", "--z", str(path)], named))
+    # a float dim with an integral value is still a dimension
+    integral = tmp_path / "integral.json"
+    integral.write_text(json.dumps({"dim": 1.0, "role": "antilinear_symmetric", "entries": [[cell]]}))
+    code, doc = run_cli(capsys, ["takagi", "--z", str(integral)])
+    assert code == 0 and doc["result"]["values"] == [0.25]
+    for argv, named in malformed + [
         (["takagi", "--z", nan], "(0,0)"),
         (["takagi", "--z", asym_nan], "(0,0)"),
         (["pair", "--x", inf, "--y", files["sigma2"], "--method", "closed"], "(1,1)"),
         (["norm", "--z", nan, "--method", "series"], "(0,0)"),
         (["detsqrt", "--matrix", nan_general], "(1,1)"),
         (["takagi", "--z", str(fractional)], "2.7"),
-    ):
+    ]:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1 and not captured.out, argv
@@ -283,6 +309,6 @@ def test_cli_import_leaves_scipy_out():
     # numpy is the only dependency; importing scipy would double the CLI's start-up
     # and builds no scatter table, nor any support-row weight, at import
     code = ("import sys, fockpair.cli; from fockpair import algebra; assert 'scipy' not in sys.modules; "
-            "assert algebra._scatter_map.cache_info().currsize == 0; assert not algebra._support_weight_cache")
+            "assert algebra._scatter_map.cache_info().currsize == 0; assert not [key for key in algebra._grown_tables if key[0] == 'support']")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -161,6 +161,15 @@ def test_budget_guard(monkeypatch):
         fp.gaussian_series(small, cap=20)
 
 
+def test_vanished_power_keeps_filled_degrees():
+    # zeta^2 / 2 underflows to zero: the loop stops there and keeps degrees 0
+    # and 2 in a buffer of their own, while the horizon and flag still say cap
+    g = fp.gaussian_series(seed_from([[1e-200]]), cap=10)
+    assert g.degrees() == g.nonzero_degrees() == [0, 2]
+    assert (g.max_degree, g.truncated) == (10, True)
+    assert g._buf.flags.owndata and len(g._buf) == 2
+
+
 def test_negative_cap_rejected():
     seed = seed_from(0.5 * np.eye(2))
     with pytest.raises(ValueError, match="cap"):

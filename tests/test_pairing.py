@@ -508,6 +508,26 @@ def test_wynn_epsilon_matches_scalar_tableau():
     assert checked >= 1000
 
 
+def test_epsilon_kernels_agree_where_the_modulus_overflows():
+    # parts near 1.3e308 keep every difference finite, but |d| overflows:
+    # CPython's abs raises there (so _scalar_wynn cannot serve as reference),
+    # _modulus reads it as infinite, as np.hypot does in the numpy table
+    big = 1.3e308
+    rows = np.array([
+        [0, complex(big, big), 0.5, complex(-big, big), 1.0, complex(big, -big), 0.25, 0.0],
+        [complex(big, 0), complex(0, big), complex(big, 0), complex(0, big), complex(big, 0), complex(0, big), 1.0, 2.0],
+        [0.0, 1.0, complex(big, big), complex(big, big) + 1e300, 0.0, complex(0.5 * big, -0.9 * big), 1.0, 1.0],
+    ])
+    with pytest.raises(OverflowError):
+        abs(complex(rows[0, 1] - rows[0, 0]))
+    lengths = np.array([[8, 6, 2, 1], [8, 5, 3, 0], [8, 7, 4, 2]])
+    v_scalar, r_scalar = _epsilon_scalar(rows, lengths)
+    v_table, r_table = _epsilon_table(rows, lengths)
+    assert np.array_equal(v_scalar.view(np.uint64), v_table.view(np.uint64))
+    assert np.array_equal(r_scalar.view(np.uint64), r_table.view(np.uint64))
+    assert np.isinf(r_scalar[:2, 1:]).all()
+
+
 def test_regularization_config_validation(tmp_path, capsys):
     for tol in (0.0, -1e-8, math.inf, math.nan):
         with pytest.raises(ValueError, match="tolerance"):
