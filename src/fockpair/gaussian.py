@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GradedElement, _layout, basis_size, scale, symmetric_product, vacuum
+from .algebra import GradedElement, _layout, scale, symmetric_product, vacuum
 from .antilinear import (
     AntilinearSymmetricMap,
     TakagiFactorization,
@@ -57,9 +58,14 @@ def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP) -> GradedElement
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     m = seed.dim
-    total = sum(basis_size(m, d) for d in range(0, cap + 1, 2))
+    # counted without the basis_size cache and only until past the budget, so
+    # an oversized cap fails at once; at m = 1 every degree has one coefficient
+    total, d = (cap // 2 + 1, cap + 2) if m == 1 else (0, 0)
+    while d <= cap and total <= _BUDGET:
+        total += math.comb(d + m - 1, m - 1)
+        d += 2
     if total > _BUDGET:
-        raise GuardExceeded(f"series of dim {m} to degree {cap} needs {total} coefficients")
+        raise GuardExceeded(f"series of dim {m} to degree {cap} needs more than {_BUDGET} coefficients")
     zeta = seed.quadratic
     grows = 2 in zeta.nonzero_degrees()  # else the powers vanish and the series is exact
     layout = _layout(m, tuple(range(0, cap + 1, 2)))

@@ -23,7 +23,8 @@ pairing), split into blocks of rows that share a nonzero pattern.  `_rules`
 applies every rule above to one block as array work, with one epsilon call
 for the rows the earlier rules leave open; `_report` turns an outcome into
 the report.  The epsilon call builds a scalar tableau when the table is small
-and a batched numpy table otherwise; both give the same bits.
+and a batched numpy table of complex columns otherwise, with np.reciprocal in
+place of CPython's division; both give the same bits (`_epsilon_table`).
 """
 
 from __future__ import annotations
@@ -46,23 +47,18 @@ _UNITARY_TOL = 1e-10
 _DEMO_POWERS = 31
 # sentinel for epsilon-table entries whose difference vanishes or is not finite
 _HUGE = 1e300
-_SCALAR_SENTINEL = complex(_HUGE)
+_SENTINEL = complex(_HUGE)
 # entries at or above this modulus are never candidates
 _USABLE = _HUGE / 10
-# Epsilon tables of at most this many rows x width entries take the scalar
-# tableau, larger ones the numpy table.  The scalar tableau pays per entry,
-# rows x width^2 / 2 of them; the numpy table a fixed dozen or so numpy
-# calls per column.  Measured on a 2-vCPU x86-64 guest (Python 3.11, numpy
-# 2.4, both kernels alternating in one process on one core, two prefixes
-# per row), the two break even at rows x width of about 72 for 10 rows,
-# 100 for 5, 125 for 2 or 3 and 160 for one row.  At 96 a single row is
-# 0.19x-0.64x the numpy table's time, and the worst block it sends to the
-# scalar tableau (10 rows of 8-9) about 1.1x.
-_SCALAR_ENTRIES = 96
-# (real, imaginary) planes of the sentinel, and the signs that turn
-# (1, ratio) / (ratio, 1) into CPython's numerators of 1/d
-_SENTINEL = np.array([[_HUGE], [0.0]])
-_SIGNS = np.array([[1.0], [-1.0]])
+# Epsilon tables with rows x (width + _SCALAR_ROW_COST) <= _SCALAR_ENTRIES
+# take the scalar tableau, which pays per entry (rows x width^2 / 2) and per
+# row; larger ones the numpy table, which pays seven numpy calls per column.
+# Measured on a 2-vCPU x86-64 guest (Python 3.11, numpy 2.4, both kernels
+# alternating on one core, two prefixes per row, best of 40), the two break
+# even at these widths (rows: break-even width / the rule's largest width):
+#   1: 58/60   2: 26/28   3: 15/17   4: 10/12   5: 8/8   6: 6/6   8: 4/4   10: 3/2
+_SCALAR_ENTRIES = 64
+_SCALAR_ROW_COST = 4
 
 
 @dataclass(frozen=True)
@@ -176,8 +172,9 @@ def wynn_epsilon(sums, lengths=None):
     reads only s_j ... s_{j+k}, so every prefix of a row is read off the one
     table that row builds.
 
-    A table of at most `_SCALAR_ENTRIES` rows x width entries is built as a
-    scalar tableau, a larger one as a numpy table; both give the same bits.
+    A small table (few rows, short ones) is built as a scalar tableau, a
+    larger one as a numpy table, by the rule above `_SCALAR_ENTRIES`; both
+    give the same bits.
     """
     s = np.asarray(sums, dtype=complex)
     if s.ndim == 1:
@@ -188,7 +185,7 @@ def wynn_epsilon(sums, lengths=None):
             or not np.issubdtype(lengths.dtype, np.integer)
             or (lengths.size and not 0 <= lengths.min() <= lengths.max() <= s.shape[1])):
         raise ValueError("a block of sums needs rows x k integer prefix lengths within its rows")
-    if s.shape[0] * lengths.max(initial=0) <= _SCALAR_ENTRIES:
+    if s.shape[0] * (lengths.max(initial=0) + _SCALAR_ROW_COST) <= _SCALAR_ENTRIES:
         return _epsilon_scalar(s, lengths)
     return _epsilon_table(s, lengths)
 
@@ -218,8 +215,9 @@ def _tableau_row(row: list[complex], prefixes: list[int]) -> list[tuple[complex,
         else:
             last = row[p - 1]
             states.append([last, _modulus(last - row[p - 2]) if p >= 2 else math.inf, last, p])
-    one, sentinel = 1 + 0j, _SCALAR_SENTINEL
-    prev2, prev = [0j] * width, row[:width]
+    one, sentinel = 1 + 0j, _SENTINEL
+    # the recurrence starts from the sums + 0j, which holds no negative zero
+    prev2, prev = [0j] * width, [x + 0j for x in row[:width]]
     for k in range(1, width):
         # 1 / d exactly as 1.0 / d; a zero or non-finite d gives the sentinel
         cur = [q + one / d if (d := b - a) and d - d == 0j else sentinel
@@ -257,15 +255,16 @@ def _epsilon_table(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
     """Column-by-column epsilon tableau of a block of partial sums.
 
     The rows are laid end to end and every column is computed over the
-    whole flat line, with real and imaginary parts in two planes of one
-    float array, so a column costs a fixed handful of numpy calls on
-    preallocated buffers.  Entries whose window crosses into the next row
-    are never read.  The arithmetic repeats CPython's complex arithmetic
-    exactly, so a block gives bit for bit what a scalar tableau gives on
-    each prefix: 1/d uses CPython's division formula (Smith's method,
-    branching on the larger part of d), |z| is hypot(re, im), and the
-    minimum keeps the first of equal residuals and never moves off a NaN
-    first residual.
+    whole flat line as one complex array, so a column costs seven numpy
+    calls on preallocated buffers.  Entries whose window crosses into the
+    next row are never read.  The arithmetic is CPython's complex
+    arithmetic, so a block gives bit for bit what a scalar tableau gives on
+    each prefix: np.reciprocal(d) is CPython's (1+0j)/d (Smith's method,
+    branching on the larger part of d) except for the sign of a zero part.
+    That sign cannot reach an entry, because the recurrence starts from the
+    sums + 0j: no column then holds a negative zero, and a sum is -0 only
+    when both addends are.  |z| is hypot(re, im), and the minimum keeps the
+    first of equal residuals and never moves off a NaN first residual.
     """
     n = lengths.ravel()
     q = len(n)
@@ -275,55 +274,43 @@ def _epsilon_table(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
     flat = np.ascontiguousarray(s[:, :width]).ravel()
     size = len(flat)
     # Candidates are the last entry of each even column a prefix reaches,
-    # column 0 (the partial sums) included; each is measured by its gap to
-    # the entry before it.  Column k holds both k places left of the flat
+    # column 0 (the raw partial sums) included; each is measured by its gap
+    # to the entry before it.  Column k holds both k places left of the flat
     # positions of the prefix's last partial sum and the one before it.
     ends = np.arange(s.shape[0]).repeat(lengths.shape[1]) * width + n - 1
     ends = np.concatenate([ends, ends - 1])
-    picked = np.empty(((width + 1) // 2, 2, 2 * q))
+    picked = np.empty(((width + 1) // 2, 2 * q), dtype=complex)
+    np.take(flat, ends, mode="clip", out=picked[0])
     # three rotating tableau columns, e_(k-2), e_(k-1) and the one being
     # filled, each with its views shifted by one place
-    planes = [np.zeros((2, size)), flat.view(float).reshape(size, 2).T.copy(), np.zeros((2, size))]
-    np.take(planes[1], ends, axis=1, mode="clip", out=picked[0])
-    cols = [(p, p[:, 1:], p[:, :-1]) for p in planes]
-    d, unit, prod = np.empty((3, 2, size - 1))
-    (d_re, d_im), (prod_re, prod_im) = d, prod
-    by_re = np.empty(size - 1, dtype=bool)
-    denom = np.empty(size - 1)
-    bad = np.empty(size - 1, dtype=bool)
+    cols = [(c, c[1:], c[:-1]) for c in (np.zeros(size, dtype=complex), flat + 0j, np.zeros(size, dtype=complex))]
+    d = np.empty(size - 1, dtype=complex)
+    mask, zero = np.empty((2, size - 1), dtype=bool)
     with np.errstate(all="ignore"):
         for k in range(1, width):
             (_, prev2_hi, _), (_, prev_hi, prev_lo), (cur, _, cur_lo) = cols
             np.subtract(prev_hi, prev_lo, out=d)
-            # CPython divides 1 by d through ratio = (smaller part) / (larger
-            # part); d / larger part is (1, ratio) or (ratio, 1)
-            np.abs(d, out=prod)
-            np.greater_equal(prod_re, prod_im, out=by_re)
-            np.divide(d, np.where(by_re, d_re, d_im), out=unit)
-            np.multiply(d, unit, out=prod)
-            np.add(prod_re, prod_im, out=denom)
-            unit *= _SIGNS
-            unit += 0.0  # 0.0 - x and x + 0.0 never leave a negative zero
-            unit /= denom
-            np.add(prev2_hi, unit, out=cur_lo)
-            # NaN exactly where d is zero or not finite
-            np.copyto(cur_lo, _SENTINEL, where=np.isnan(denom, out=bad))
+            np.reciprocal(d, out=cur_lo)
+            np.add(prev2_hi, cur_lo, out=cur_lo)
+            # the sentinel where d is zero or not finite (finite <= zero)
+            np.isfinite(d, out=mask)
+            np.equal(d, 0, out=zero)
+            np.less_equal(mask, zero, out=mask)
+            np.copyto(cur_lo, _SENTINEL, where=mask)
             if k % 2 == 0:
-                np.take(cur, ends - k, axis=1, mode="clip", out=picked[k // 2])
+                np.take(cur, ends - k, mode="clip", out=picked[k // 2])
             cols = cols[1:] + cols[:1]
 
         reach = np.concatenate([n, n - 1])
         # hypot is NaN or infinite unless both parts are finite
-        usable = (np.arange(0, width, 2)[:, None] < reach) & (np.hypot(picked[:, 0], picked[:, 1]) < _HUGE / 10)
+        usable = (np.arange(0, width, 2)[:, None] < reach) & (np.hypot(picked.real, picked.imag) < _USABLE)
         usable[0] = reach > 0  # the partial sums count whatever they hold
-        entry = np.empty(usable.shape, dtype=complex)
-        entry.real, entry.imag = picked[:, 0], picked[:, 1]
-        last, ok, has_pair = entry[:, :q], usable[:, :q], usable[:, q:]
+        last, ok, has_pair = picked[:, :q], usable[:, :q], usable[:, q:]
         # an entry without a left neighbour is measured against the last
         # candidate accepted before it
         accepted = np.maximum.accumulate(np.where(ok, np.arange(len(ok))[:, None], 0), axis=0)
         prior = last[np.concatenate([accepted[:1], accepted[:-1]]), np.arange(q)]
-        gap = last - np.where(has_pair, entry[:, q:], prior)
+        gap = last - np.where(has_pair, picked[:, q:], prior)
         resid = np.hypot(gap.real, gap.imag)
         resid[0, n < 2] = math.inf
         # the first of equal residuals wins, and a NaN residual of the last

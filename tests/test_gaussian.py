@@ -7,6 +7,7 @@ import pytest
 
 import fockpair as fp
 from fockpair import gaussian, suites
+from fockpair.algebra import basis_size
 from fockpair.antilinear import random_symmetric
 from fockpair.pairing import degree_terms
 
@@ -159,6 +160,18 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setattr(gaussian, "_BUDGET", 5)
     with pytest.raises(fp.GuardExceeded):
         fp.gaussian_series(small, cap=20)
+
+
+def test_budget_guard_fails_fast(monkeypatch):
+    # the count stops once it passes the budget and fills no basis_size
+    # cache entry: at m = 1 a cap of 10^6 is 500,001 coefficients
+    monkeypatch.setattr(gaussian, "_BUDGET", 1000)
+    before = basis_size.cache_info().currsize
+    with pytest.raises(fp.GuardExceeded):
+        fp.gaussian_series(seed_from([[0.5]]), 10**6)
+    with pytest.raises(fp.GuardExceeded):
+        fp.gaussian_series(seed_from(0.5 * np.eye(3)), 10**6)
+    assert basis_size.cache_info().currsize - before < 100
 
 
 def test_vanished_power_keeps_filled_degrees():

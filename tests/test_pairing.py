@@ -1,18 +1,21 @@
 """Degreewise pairings: exact series, t-scaling, Abel limits, invariances."""
 
+import importlib
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fockpair as fp
-from fockpair import suites
+from fockpair import pairing, suites
 from fockpair.cli import main
 from fockpair.algebra import basis_size, symmetric_power_matrix
 from fockpair.pairing import (
     _SCALAR_ENTRIES,
+    _SCALAR_ROW_COST,
     PairingReport,
     _epsilon_scalar,
     _epsilon_table,
@@ -387,8 +390,9 @@ def _scalar_wynn(sums):
         return s[0], math.inf
     huge = 1e300
     prev2 = [0j] * (n + 1)
-    prev = list(s)
-    cands = [(prev[-1], abs(prev[-1] - prev[-2]))]
+    # the recurrence starts from the sums + 0j, the candidates from the sums
+    prev = [x + 0j for x in s]
+    cands = [(s[-1], abs(s[-1] - s[-2]))]
     col = 0
     while len(prev) >= 2:
         col += 1
@@ -421,10 +425,18 @@ def _same_bits(a, b) -> bool:
 
 
 def _fuzz_sums(rng, i, longest=48):
-    """Partial sums of one of eleven term families, edge cases included."""
+    """Partial sums of one of twelve families, edge cases included."""
     n = int(rng.integers(0, longest))
     k = np.arange(n)
-    family = i % 11
+    family = i % 12
+    if family == 11:
+        # sums, not terms: cumsum leaves no -0 part after a nonzero one.
+        # Signed zeros in both parts (-0 mostly), and parts shared between
+        # sums, so that some differences are purely real or purely imaginary
+        parts = np.array([0.0, -0.0, -0.0, -0.0, 1.0, -1.0])
+        sums = np.empty(n, dtype=complex)
+        sums.real, sums.imag = rng.choice(parts, size=n), rng.choice(parts, size=n)
+        return sums
     if family == 0:
         terms = rng.standard_normal(n) * 0.6**k
     elif family == 1:
@@ -469,13 +481,17 @@ def _assert_prefixes(kernel, block, lengths, want, where):
 
 def test_wynn_epsilon_matches_scalar_tableau():
     # both kernels are run directly, and through wynn_epsilon, which picks
-    # one by table size; one sequence in 15 is long enough that one row
-    # alone crosses _SCALAR_ENTRIES
-    assert 48 < _SCALAR_ENTRIES < 130
+    # one by rows and width; a single row of the short sequences (under 48)
+    # takes the scalar tableau, and one round in 15 is long enough (up to
+    # 129) that one row alone takes the numpy table
+    assert 48 < _SCALAR_ENTRIES - _SCALAR_ROW_COST < 129
     rng = np.random.default_rng(1956)
     checked = 0
     for i in range(1200):
-        sums = _fuzz_sums(rng, i, 130 if i % 15 == 5 else 48)
+        # the family is i % 12, so the choices below read the round i // 12,
+        # which gives every family long rows and row blocks alike
+        rnd = i // 12
+        sums = _fuzz_sums(rng, i, 130 if rnd % 15 == 5 else 48)
         kept = sums.copy()
         want = _scalar_wynn(sums)
         value, resid = wynn_epsilon(sums)
@@ -484,9 +500,9 @@ def test_wynn_epsilon_matches_scalar_tableau():
             _assert_prefixes(kernel, sums[None, :], [[len(sums)]], lambda row, p: want, i)
         assert np.array_equal(sums.view(np.int64), kept.view(np.int64))
         checked += 1
-        if i % 3:
+        if rnd % 3:
             continue
-        # prefixes of 1, 2 and (every ninth sequence) 10 rows read off one
+        # prefixes of 1, 2 and (every ninth round) 10 rows read off one
         # table, each equal to its own scalar call; short rows are padded
         # with NaN, which no prefix may read
         pool = [sums, sums[::-1], sums[::2]]
@@ -498,7 +514,7 @@ def test_wynn_epsilon_matches_scalar_tableau():
             return refs[r, p]
 
         prefixes = sorted(p for p in {0, 1, 2, 3, len(sums) // 2, 3 * len(sums) // 4, len(sums)} if p <= len(sums))
-        for rows in ([0], [1, 2], [0, 1, 2, 2, 1, 0, 0, 2, 1, 0])[:3 if i % 9 == 0 else 2]:
+        for rows in ([0], [1, 2], [0, 1, 2, 2, 1, 0, 0, 2, 1, 0])[:3 if rnd % 9 == 0 else 2]:
             block = np.full((len(rows), len(sums)), complex(np.nan, np.nan))
             for k, r in enumerate(rows):
                 block[k, :len(pool[r])] = pool[r]
@@ -526,6 +542,33 @@ def test_epsilon_kernels_agree_where_the_modulus_overflows():
     assert np.array_equal(v_scalar.view(np.uint64), v_table.view(np.uint64))
     assert np.array_equal(r_scalar.view(np.uint64), r_table.view(np.uint64))
     assert np.isinf(r_scalar[:2, 1:]).all()
+
+
+def test_epsilon_kernels_agree_on_verdict_traffic(monkeypatch):
+    # the fuzz above stops at width 129 and 10 rows of under 48; one pass of
+    # the benchmark's verdict inputs reaches widths up to 201.  One block is
+    # kept per (rows, 40-wide width band) and both kernels must agree on it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workload = importlib.import_module("verdict").Verdict()
+    workload.setup()
+    blocks = {}
+    wynn = pairing.wynn_epsilon
+
+    def recorder(sums, lengths=None):
+        s = np.atleast_2d(np.asarray(sums, dtype=complex))
+        at = np.array([[s.shape[1]]]) if lengths is None else np.asarray(lengths)
+        blocks.setdefault((s.shape[0], int(at.max()) // 40), (s.copy(), at.copy()))
+        return wynn(sums, lengths)
+
+    monkeypatch.setattr(pairing, "wynn_epsilon", recorder)
+    for op in workload.ops(1):
+        op.call()
+    assert max(band for _, band in blocks) >= 5 and max(rows for rows, _ in blocks) == 10
+    for s, lengths in blocks.values():
+        v_scalar, r_scalar = _epsilon_scalar(s, lengths)
+        v_table, r_table = _epsilon_table(s, lengths)
+        assert np.array_equal(v_scalar.view(np.uint64), v_table.view(np.uint64))
+        assert np.array_equal(r_scalar.view(np.uint64), r_table.view(np.uint64))
 
 
 def test_regularization_config_validation(tmp_path, capsys):
