@@ -2,24 +2,48 @@
 
 The primitive object is the term sequence a_d = <phi_d | psi_d>.  The plain
 pairing sums it directly, the scaled pairing weights degree d by t^{2d}, and
-the Abel pairing evaluates the scaled pairing on a grid t_k -> 1 and
-extrapolates.  Convergence is never assumed: each evaluation carries a
-verdict (converged / divergent / undecided) and a tail or residual estimate,
-and a value is only reported for converged evaluations.
+the Abel pairing takes the limit of the scaled pairing as t -> 1.
+Convergence is never assumed: each evaluation carries a verdict (converged /
+divergent / undecided), the rule that decided it or the reason it stayed
+undecided, and a tail or residual estimate; a value is only reported for
+converged evaluations.
 
-Verdict rules, in the order applied to the nonzero terms:
-  * finite inputs (no truncation in play) sum exactly;
+Verdict rules, in the order applied to the nonzero terms (rule names in
+brackets):
+  * finite inputs (no truncation in play) sum exactly [finite];
   * terms that stay above tolerance with non-decreasing magnitudes over a
-    20-term window past degree 50 are declared divergent;
+    20-term window past degree 50 are declared divergent [divergence_fit];
   * a geometric tail (max ratio rho < 1 over the last 10 terms, all of them
-    below tolerance * (1 - rho)) converges with tail |last| * rho / (1-rho);
-  * otherwise the epsilon algorithm is applied to the partial sums and
-    convergence is claimed only when the tableau residual and a
-    shortened-window cross-check both sit below tolerance.
+    below tolerance * (1 - rho)) converges with tail |last| * rho / (1-rho)
+    [geometric_tail];
+  * fewer than 8 nonzero terms leave the rest undecided [window_too_short];
+  * epsilon sees only rows whose largest |term| in the last quarter of the
+    epsilon window is below 0.9 x the largest in the quarter before; on
+    terms that do not shrink it would return the analytic continuation, not
+    a sum [terms_not_shrinking];
+  * the epsilon algorithm is applied to the partial sums and convergence is
+    claimed only when the tableau residual and a shortened-window
+    cross-check both sit below tolerance [epsilon, else epsilon_residual].
+
+The Abel pairing works from the plain terms first and tries, in order:
+  1. the plain series' rules: a convergent series sums to its Abel limit
+     (Abel's theorem) [plain_sum];
+  2. when the plain terms do not shrink or diverge, the epsilon value of the
+     plain partial sums, full and 3/4 window within tolerance, accepted only
+     if a fit log|a_d| = alpha + beta d + gamma log(d+1) over the second half
+     of the nonzero terms gives beta <= 1e-3, a radius of convergence of at
+     least one [continuation];
+  3. terms of one phase that do not decay: the same fit gives beta >= 0 and
+     no magnitude in its range falls below the one before; a pole at s = 1
+     [pole];
+  4. only if all of these decline, the grid t_k = 1 - 2^-k: the rules above
+     on each scaled row and the epsilon algorithm across the grid values;
+     the first row that does not converge decides [grid when it diverges,
+     else its reason; grid or epsilon_residual when every row converges].
 
 The three pairings share one path, `_series`: a term matrix with one row per
 t (one row for the plain and scaled pairings, the whole grid for the Abel
-pairing), split into blocks of rows that share a nonzero pattern.  `_rules`
+fallback), split into blocks of rows that share a nonzero pattern.  `_rules`
 applies every rule above to one block as array work, with one epsilon call
 for the rows the earlier rules leave open; `_report` turns an outcome into
 the report.  The epsilon call builds a scalar tableau when the table is small
@@ -30,7 +54,7 @@ place of CPython's division; both give the same bits (`_epsilon_table`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +65,16 @@ _DIVERGENCE_WINDOW = 20
 _DIVERGENCE_DEGREE = 50
 _RATIO_WINDOW = 10
 _EPS_TERMS = 220
+# epsilon may only see terms whose last-quarter maximum falls below this
+# fraction of the maximum of the quarter before
+_SHRINK = 0.9
+# largest fitted log-growth per degree that still counts as radius >= 1
+_MAX_BETA = 1e-3
+# terms whose unit phases differ by at most this share one phase
+_PHASE_TOL = 1e-9
+# a log-growth per degree (or a term ratio's gap to one) this small counts as
+# flat: the magnitudes do not decay
+_FLAT = 1e-9
 # Abel grid t_k = 1 - 2^-k for these k
 _T_GRID_K = range(3, 13)
 _UNITARY_TOL = 1e-10
@@ -88,6 +122,8 @@ class PairingReport:
     value: complex | None
     method: str  # series_1 | scaled_t | abel
     verdict: str  # converged | divergent | undecided
+    # the rule that decided the verdict, or why it stayed undecided
+    rule: str
     converged: bool
     truncation_degree: int
     tail_estimate: float
@@ -327,29 +363,51 @@ class _SeriesOutcome:
     verdict: str
     tail: float
     used_degree: int
+    rule: str
+
+
+def _shrinking(mags: np.ndarray) -> np.ndarray:
+    """Per row: is the largest |term| of the last quarter below _SHRINK x that of the quarter before?"""
+    q = mags.shape[1] // 4
+    return mags[:, -q:].max(axis=1) < _SHRINK * mags[:, -2 * q:-q].max(axis=1)
+
+
+def _epsilon_check(w: np.ndarray) -> list[tuple[complex, float]]:
+    """(value, residual) of the epsilon limit of each row's partial sums.
+
+    The residual is the larger of the tableau residual and the gap to the
+    value of the shortened (3/4) window; both windows are read off one
+    epsilon call for the whole block.
+    """
+    sums = np.cumsum(w, axis=1)
+    width = sums.shape[1]
+    lengths = np.array([[width, max(8, 3 * width // 4)]] * len(w))
+    values, resids = wynn_epsilon(sums, lengths)
+    return [(v_full, max(r_full, abs(v_full - v_part)))
+            for (v_full, v_part), (r_full, _) in zip(values.tolist(), resids.tolist())]
 
 
 def _rules(block: np.ndarray, degrees: np.ndarray, finite: bool, cfg: RegularizationConfig) -> list[_SeriesOutcome]:
     """Outcome of each weighted row of a block sharing one nonzero pattern.
 
     Every rule is array work over the whole block.  The rows the rules
-    before epsilon leave open share one epsilon call for both the full and
-    the shortened window; a row's total is its own 1-D sum, which keeps its
-    bits.
+    before epsilon leave open, and whose terms shrink across the epsilon
+    window, share one epsilon call for both the full and the shortened
+    window; a row's total is its own 1-D sum, which keeps its bits.
     """
     nz = block[0].nonzero()[0]
     if len(nz) == 0:
+        # nothing to sum: the window is exactly zero
         used = int(degrees[-1]) if len(degrees) else 0
-        return [_SeriesOutcome(0j, "converged", 0.0, used)] * len(block)
+        return [_SeriesOutcome(0j, "converged", 0.0, used, "finite")] * len(block)
     w = block[:, nz]
     used = int(degrees[nz[-1]])
     if finite:
-        return [_SeriesOutcome(complex(np.sum(row)), "converged", 0.0, used) for row in w]
+        return [_SeriesOutcome(complex(np.sum(row)), "converged", 0.0, used, "finite") for row in w]
 
     tol = cfg.tolerance
     mags = np.abs(w)
-    undecided = _SeriesOutcome(None, "undecided", math.inf, used)
-    outcomes = [undecided] * len(block)
+    outcomes: list[_SeriesOutcome | None] = [None] * len(block)
 
     # divergent: persistent non-vanishing terms past the degree threshold
     tail_sel = degrees[nz] > _DIVERGENCE_DEGREE
@@ -357,39 +415,43 @@ def _rules(block: np.ndarray, degrees: np.ndarray, finite: bool, cfg: Regulariza
         pos = tail_sel.nonzero()[0][-_DIVERGENCE_WINDOW:]
         window = mags[:, pos]
         ratios = window[:, 1:] / window[:, :-1]
-        growing = (window >= tol).all(axis=1) & (ratios >= 1.0 - 1e-9).all(axis=1)
+        growing = (window >= tol).all(axis=1) & (ratios >= 1.0 - _FLAT).all(axis=1)
         for i in growing.nonzero()[0].tolist():
             # ratios of |c_n| with c_n hypergeometric follow rho*(1 + b/n), so
             # the intercept of a fit against 1/n extrapolates the ratio limit;
             # locally growing but eventually geometric tails (rho < 1) must
             # not be called divergent on a window cut before the turnaround
             rho_lim = float(np.polyfit(1.0 / pos[1:], ratios[i], 1)[1])
-            if rho_lim >= 1.0 - 1e-9:
-                outcomes[i] = _SeriesOutcome(None, "divergent", math.inf, used)
+            if rho_lim >= 1.0 - _FLAT:
+                outcomes[i] = _SeriesOutcome(None, "divergent", math.inf, used, "divergence_fit")
 
     # geometric tail; the magnitudes are positive by the shared pattern, so a
     # ratio is NaN only next to a NaN magnitude, which no rho < 1 passes
-    if len(nz) > _RATIO_WINDOW and any(out is undecided for out in outcomes):
+    if len(nz) > _RATIO_WINDOW and None in outcomes:
         last = mags[:, -(_RATIO_WINDOW + 1):]
         rho = (last[:, 1:] / last[:, :-1]).max(axis=1)
         fits = (rho < 1.0) & (last[:, 1:] <= (tol * (1.0 - rho))[:, None]).all(axis=1)
         for i in fits.nonzero()[0].tolist():
-            if outcomes[i] is undecided:
+            if outcomes[i] is None:
                 r = float(rho[i])
                 tail = float(last[i, -1]) * r / (1.0 - r)
-                outcomes[i] = _SeriesOutcome(complex(np.sum(w[i])), "converged", tail, used)
+                outcomes[i] = _SeriesOutcome(complex(np.sum(w[i])), "converged", tail, used, "geometric_tail")
 
-    open_rows = [i for i, out in enumerate(outcomes) if out is undecided]
-    if len(nz) < 8 or not open_rows:
-        return outcomes
-    sums = np.cumsum(w[open_rows, :_EPS_TERMS], axis=1)
-    width = sums.shape[1]
-    lengths = np.array([[width, max(8, 3 * width // 4)]] * len(open_rows))
-    values, resids = wynn_epsilon(sums, lengths)
-    for i, (v_full, v_part), (r_full, _) in zip(open_rows, values.tolist(), resids.tolist()):
-        resid = max(r_full, abs(v_full - v_part))
-        if math.isfinite(resid) and resid <= tol:
-            outcomes[i] = _SeriesOutcome(v_full, "converged", resid, used)
+    open_rows = [i for i, out in enumerate(outcomes) if out is None]
+    reasons = dict.fromkeys(open_rows, "window_too_short")
+    if len(nz) >= 8 and open_rows:
+        # epsilon on the partial sums of terms that do not shrink returns the
+        # analytic continuation, not a sum: those rows never reach it
+        shrinks = _shrinking(mags[open_rows, :_EPS_TERMS]).tolist()
+        reasons = {i: "epsilon_residual" if ok else "terms_not_shrinking" for i, ok in zip(open_rows, shrinks)}
+        tried = [i for i, ok in zip(open_rows, shrinks) if ok]
+        if tried:
+            for i, (value, resid) in zip(tried, _epsilon_check(w[tried, :_EPS_TERMS])):
+                if math.isfinite(resid) and resid <= tol:
+                    outcomes[i] = _SeriesOutcome(value, "converged", resid, used, "epsilon")
+    for i, reason in reasons.items():
+        if outcomes[i] is None:
+            outcomes[i] = _SeriesOutcome(None, "undecided", math.inf, used, reason)
     return outcomes
 
 
@@ -406,10 +468,8 @@ def _scaled(terms: np.ndarray, degrees: np.ndarray, ts) -> np.ndarray:
     return terms * np.asarray(ts, dtype=float)[:, None] ** (2.0 * degrees)
 
 
-def _series(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig | None, ts=None) -> list[_SeriesOutcome]:
+def _series(terms: np.ndarray, finite: bool, cfg: RegularizationConfig, ts=None) -> list[_SeriesOutcome]:
     """Outcome of each t in ts (terms weighted by t^{2d}), or of the plain row if ts is None."""
-    cfg = cfg or RegularizationConfig()
-    terms, finite = degree_terms(phi, psi, cfg.max_degree)
     degrees = np.arange(len(terms))
     # the plain row stays unweighted: a complex product with 1.0 turns an
     # infinite imaginary part into a NaN real part and can flip a signed zero
@@ -426,6 +486,7 @@ def _report(out: _SeriesOutcome, method: str, **fields) -> PairingReport:
         value=out.value,
         method=method,
         verdict=out.verdict,
+        rule=out.rule,
         converged=out.verdict == "converged",
         truncation_degree=out.used_degree,
         tail_estimate=out.tail,
@@ -435,52 +496,107 @@ def _report(out: _SeriesOutcome, method: str, **fields) -> PairingReport:
 
 def pairing_1(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig | None = None) -> PairingReport:
     """Plain degreewise series pairing sum_d <phi_d | psi_d>."""
-    return _report(_series(phi, psi, cfg)[0], "series_1")
+    cfg = cfg or RegularizationConfig()
+    return _report(_series(*degree_terms(phi, psi, cfg.max_degree), cfg)[0], "series_1")
 
 
 def pairing_t(phi: GradedElement, psi: GradedElement, t: float, cfg: RegularizationConfig | None = None) -> PairingReport:
     """Scaled pairing sum_d <phi_d | psi_d> t^{2d} for 0 < t < 1."""
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly between 0 and 1")
-    return _report(_series(phi, psi, cfg, [t])[0], "scaled_t", t_grid=(t,))
+    cfg = cfg or RegularizationConfig()
+    return _report(_series(*degree_terms(phi, psi, cfg.max_degree), cfg, [t])[0], "scaled_t", t_grid=(t,))
+
+
+def _log_growth(terms: np.ndarray, fit: np.ndarray) -> float:
+    """beta of a least-squares fit log|a_d| = alpha + beta d + gamma log(d+1) over `fit`.
+
+    By Cauchy-Hadamard the radius of convergence of sum a_d x^d is exp(-beta),
+    up to the fit's slack.  NaN when a magnitude there is not finite.
+    """
+    d = fit.astype(float)
+    design = np.column_stack([np.ones_like(d), d, np.log1p(d)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log(np.abs(terms[fit]))
+    if not np.isfinite(y).all():
+        return math.nan
+    return float(np.linalg.lstsq(design, y, rcond=None)[0][1])
+
+
+def _abel_off_grid(terms: np.ndarray, finite: bool, cfg: RegularizationConfig) -> _SeriesOutcome | None:
+    """The Abel limit from the plain terms alone, or None when the grid must decide.
+
+    In order: a convergent plain series sums to its Abel limit (Abel's
+    theorem); the epsilon continuation of the plain partial sums, when the
+    terms' radius of convergence is at least one; a pole at s = 1, when the
+    terms keep one phase and do not decay.  The radius fit, the phase and the
+    decay are read over all the nonzero terms (the fit and the decay over
+    their second half); epsilon sees the first _EPS_TERMS of them.
+    """
+    plain = _series(terms, finite, cfg)[0]
+    if plain.verdict == "converged":
+        return replace(plain, rule="plain_sum")
+    # only these two leave a window whose epsilon limit was never tried
+    if plain.rule not in ("divergence_fit", "terms_not_shrinking"):
+        return None
+    nz = terms.nonzero()[0]
+    fit = nz[len(nz) // 2:]
+    beta = _log_growth(terms, fit)
+    (value, resid), = _epsilon_check(terms[None, nz[:_EPS_TERMS]])
+    if math.isfinite(resid) and resid <= cfg.tolerance and beta <= _MAX_BETA:
+        return _SeriesOutcome(value, "converged", resid, plain.used_degree, "continuation")
+    # a pole needs terms that do not decay: a flat or rising fit, and no
+    # magnitude below the one before it; a slow decay leaves the grid to decide
+    phase = terms[nz] / np.abs(terms[nz])
+    mags = np.abs(terms[fit])
+    if (np.abs(phase - phase[0]).max() <= _PHASE_TOL and beta >= -_FLAT
+            and (mags[1:] >= (1.0 - _FLAT) * mags[:-1]).all()):
+        return _SeriesOutcome(None, "divergent", math.inf, plain.used_degree, "pole")
+    return None
 
 
 def abel_pairing(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig | None = None) -> PairingReport:
-    """Abel limit of the scaled pairing along the configured grid t_k -> 1.
+    """Abel limit lim_{t -> 1} sum_d <phi_d | psi_d> t^{2d}.
 
-    Requires every grid point to converge on its own; the limit value comes
-    from the epsilon algorithm across the grid values.  Grid values that
-    grow without bound are reported as divergent rather than extrapolated,
-    since extrapolating them would produce an antilimit, not an Abel limit.
-    The whole grid is summed at once; its outcomes are read in grid order
-    and the first one that fails decides the report.
+    The routes off the plain terms come first (`_abel_off_grid`); their
+    report carries no grid.  Only when they all decline is the scaled
+    pairing summed along the configured grid t_k -> 1 and extrapolated by
+    the epsilon algorithm across the grid values.  The first grid point that
+    does not converge decides the report.  Grid values that grow without
+    bound are reported as divergent rather than extrapolated, since
+    extrapolating them would produce an antilimit, not an Abel limit.
     """
     cfg = cfg or RegularizationConfig()
+    terms, finite = degree_terms(phi, psi, cfg.max_degree)
+    out = _abel_off_grid(terms, finite, cfg)
+    if out is not None:
+        # a converged route's tail is its own residual
+        return _report(out, "abel", extrapolation_residual=out.tail if out.verdict == "converged" else math.nan)
     grid = cfg.t_grid()
     values: list[complex] = []
     used = 0
     worst_tail = 0.0
-    verdict = failed_t = None
-    for t, out in zip(grid, _series(phi, psi, cfg, grid)):
+    failed = failed_t = None
+    for t, out in zip(grid, _series(terms, finite, cfg, grid)):
         used = max(used, out.used_degree)
         if out.verdict != "converged":
-            verdict, failed_t = out.verdict, t
+            failed = replace(out, rule="grid") if out.verdict == "divergent" else out
+            failed_t = t
             break
         worst_tail = max(worst_tail, out.tail)
         values.append(out.value)
     # unbounded growth toward t = 1 means the Abel limit does not exist
     last = np.abs(np.array(values[-6:]))
-    growing = len(last) == 6 and np.all(np.diff(last) > 0) and last[-1] > 4.0 * (last[0] + 1e-30)
-    if failed_t is None and growing:
-        verdict, failed_t = "divergent", grid[-1]
-    if failed_t is not None:
-        outcome = _SeriesOutcome(None, verdict, math.inf, used)
-        return _report(outcome, "abel", t_grid=tuple(grid), failed_t=failed_t)
+    if failed is None and len(last) == 6 and np.all(np.diff(last) > 0) and last[-1] > 4.0 * (last[0] + 1e-30):
+        failed, failed_t = _SeriesOutcome(None, "divergent", math.inf, used, "grid"), grid[-1]
+    if failed is not None:
+        return _report(replace(failed, used_degree=used), "abel", t_grid=tuple(grid), failed_t=failed_t)
 
     value, resid = wynn_epsilon(values)
     ok = math.isfinite(resid) and resid <= cfg.tolerance
-    outcome = _SeriesOutcome(value if ok else None, "converged" if ok else "undecided", worst_tail, used)
-    return _report(outcome, "abel", t_grid=tuple(grid), extrapolation_residual=float(resid))
+    out = _SeriesOutcome(value if ok else None, "converged" if ok else "undecided", worst_tail, used,
+                         "grid" if ok else "epsilon_residual")
+    return _report(out, "abel", t_grid=tuple(grid), extrapolation_residual=float(resid))
 
 
 def number_op_pow(phi: GradedElement, r: float) -> GradedElement:

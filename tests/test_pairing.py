@@ -16,7 +16,6 @@ from fockpair.algebra import basis_size, symmetric_power_matrix
 from fockpair.pairing import (
     _SCALAR_ENTRIES,
     _SCALAR_ROW_COST,
-    PairingReport,
     _epsilon_scalar,
     _epsilon_table,
     _pattern_blocks,
@@ -272,94 +271,117 @@ def test_wynn_epsilon_rejects_bad_lengths():
             wynn_epsilon(block, lengths)
 
 
-def _reference_abel(phi, psi, cfg):
-    """Abel pairing one grid point at a time, extrapolated by the scalar tableau."""
-    grid = cfg.t_grid()
-    values = []
-    used = 0
-    worst_tail = 0.0
-    for t in grid:
-        out = fp.pairing_t(phi, psi, t, cfg)
-        used = max(used, out.truncation_degree)
-        if out.verdict == "divergent":
-            return PairingReport(
-                value=None, method="abel", verdict="divergent", converged=False,
-                truncation_degree=used, tail_estimate=math.inf,
-                t_grid=tuple(grid), failed_t=t,
-            )
-        if not out.converged:
-            return PairingReport(
-                value=None, method="abel", verdict="undecided", converged=False,
-                truncation_degree=used, tail_estimate=math.inf,
-                t_grid=tuple(grid), failed_t=t,
-            )
-        worst_tail = max(worst_tail, out.tail_estimate)
-        values.append(out.value)
-    mags = np.abs(np.array(values))
-    if len(mags) >= 6:
-        lastsix = mags[-6:]
-        if np.all(np.diff(lastsix) > 0) and lastsix[-1] > 4.0 * (lastsix[0] + 1e-30):
-            return PairingReport(
-                value=None, method="abel", verdict="divergent", converged=False,
-                truncation_degree=used, tail_estimate=math.inf,
-                t_grid=tuple(grid), failed_t=grid[-1],
-            )
-    value, resid = _scalar_wynn(values)
-    ok = math.isfinite(resid) and resid <= cfg.tolerance
-    return PairingReport(
-        value=value if ok else None,
-        method="abel",
-        verdict="converged" if ok else "undecided",
-        converged=ok,
-        truncation_degree=used,
-        tail_estimate=worst_tail,
-        t_grid=tuple(grid),
-        extrapolation_residual=float(resid),
-    )
+def _boundary_terms(k: int, n: int) -> np.ndarray:
+    """Degree terms of prod (1 + s)^(-1/2) over k factors, term of s^j at degree 2j."""
+    j = np.arange(1, (n + 1) // 2)
+    factor = np.concatenate(([1.0], np.cumprod(-(2.0 * j - 1.0) / (2.0 * j))))
+    coeffs = factor
+    for _ in range(k - 1):
+        coeffs = np.convolve(coeffs, factor)[: len(factor)]
+    out = np.zeros(n)
+    out[::2] = coeffs
+    return out
 
 
 def test_abel_grid_matches_pointwise_loop():
     cfg = fp.RegularizationConfig()
     grid = cfg.t_grid()
     n = cfg.max_degree + 1
-    rng = np.random.default_rng(2)
-    cases = {
-        "convergent": (0.5 ** np.arange(n), "converged", None),
-        "alternating": ((-1.0) ** np.arange(n), "converged", None),
-        # ratio 1.05 t^2 crosses 1 between the third and fourth grid points
-        "growing": (1.05 ** np.arange(n), "divergent", grid[3]),
-        # bounded random terms: no rule decides once t is close enough to 1
-        "random": (rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n), "undecided", grid[1]),
-        # 1e-320 t^(2d) underflows to zero past degree 150 on the three lowest
-        # rows only, so the grid splits into two nonzero patterns, and both
-        # leave rows open for epsilon
-        "underflow": ((-1.0) ** np.arange(n) * np.where(np.arange(n) <= 150, 1.0, 1e-320), "undecided", grid[3]),
-    }
+    d = np.arange(n)
     ones = fp.sequence_element(np.ones(n))
-    for name, (seq, verdict, failed_t) in cases.items():
+    # known Abel limits, none of which needs the grid: a convergent series
+    # gives its sum, sum (-1)^d gives 1/2, and the boundary pairing
+    # prod (1 + s)^(-k/2) gives its closed form 2^(-k/2) at s = 1
+    known = {
+        "convergent": (0.5**d, 2.0, "plain_sum"),
+        "alt": ((-1.0) ** d, 0.5, "continuation"),
+        "boundary1": (_boundary_terms(1, n), 2.0**-0.5, "plain_sum"),
+        "boundary2": (_boundary_terms(2, n), 0.5, "continuation"),
+        "boundary4": (_boundary_terms(4, n), 0.25, "continuation"),
+    }
+    for name, (seq, want, rule) in known.items():
+        got = fp.abel_pairing(ones, fp.sequence_element(seq), cfg)
+        assert (got.verdict, got.rule, got.t_grid, got.failed_t) == ("converged", rule, (), None), name
+        assert abs(got.value - want) <= cfg.tolerance, name
+        assert 0.0 <= got.extrapolation_residual == got.tail_estimate <= cfg.tolerance, name
+    rng = np.random.default_rng(2)
+    fallback = {
+        # bounded random terms: no rule decides once t is close enough to 1
+        "random": (rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n), "undecided", "epsilon_residual", grid[1]),
+        # 1e-320 t^(2d) underflows to zero past degree 150 on the three lowest
+        # rows only, so the grid splits into two nonzero patterns; the first
+        # row of the second pattern stays open and decides
+        "underflow": ((-1.0) ** d * np.where(d <= 150, 1.0, 1e-320), "undecided", "epsilon_residual", grid[3]),
+    }
+    for name, (seq, verdict, rule, failed_t) in fallback.items():
         psi = fp.sequence_element(seq)
         got = fp.abel_pairing(ones, psi, cfg)
-        assert repr(got) == repr(_reference_abel(ones, psi, cfg)), name
-        assert (got.verdict, got.failed_t) == (verdict, failed_t), name
-        terms, _ = degree_terms(ones, psi, cfg.max_degree)
-        degrees = np.arange(len(terms))
-        weighted = _scaled(terms, degrees, grid)
+        assert (got.verdict, got.rule, got.t_grid, got.failed_t) == (verdict, rule, tuple(grid), failed_t), name
+        terms, finite = degree_terms(ones, psi, cfg.max_degree)
+        weighted = _scaled(terms, np.arange(len(terms)), grid)
         assert len(_pattern_blocks(weighted)) == (2 if name == "underflow" else 1), name
-        rows = _series(ones, psi, cfg, grid)
-        for t, row in zip(grid, rows):
+        # the grid's rows are the scaled pairings one t at a time, bit for bit
+        for t, row in zip(grid, _series(terms, finite, cfg, grid)):
             rep = fp.pairing_t(ones, psi, t, cfg)
-            assert repr((rep.value, rep.verdict, rep.tail_estimate, rep.truncation_degree)) == repr(
-                (row.value, row.verdict, row.tail, row.used_degree)
+            assert repr((rep.value, rep.verdict, rep.rule, rep.tail_estimate, rep.truncation_degree)) == repr(
+                (row.value, row.verdict, row.rule, row.tail, row.used_degree)
             ), (name, t)
 
 
 def test_abel_growth_toward_one_is_divergent():
-    # every grid point converges, but 1 / (1 - t^2) grows without bound
+    # sum_d t^(2d) = 1 / (1 - t^2) has a pole at t = 1, at every horizon
+    for horizon in (20, 200, 400):
+        cfg = fp.RegularizationConfig(max_degree=horizon)
+        ones = fp.sequence_element(np.ones(horizon + 1))
+        got = fp.abel_pairing(ones, ones, cfg)
+        assert (got.verdict, got.rule, got.value, got.t_grid, got.failed_t) == ("divergent", "pole", None, (), None)
+        # terms growing like 1.05^d: the radius is below one
+        got = fp.abel_pairing(ones, fp.sequence_element(1.05 ** np.arange(horizon + 1)), cfg)
+        assert (got.verdict, got.value) == ("divergent", None)
+    # terms of two phases take the grid, whose values 1 / (1 - t^2) + i / (2 + 2t^2)
+    # grow without bound toward t = 1.  At degree 60000 the geometric tail
+    # certifies every grid row, even t = 1 - 2^-12, and the growth of the last
+    # six values decides, at the last grid point
+    cfg = fp.RegularizationConfig(max_degree=60000)
+    n = cfg.max_degree + 1
+    jitter = fp.sequence_element(1.0 + 0.5j * (-1.0) ** np.arange(n))
+    got = fp.abel_pairing(fp.sequence_element(np.ones(n)), jitter, cfg)
+    assert (got.verdict, got.rule, got.value, got.failed_t) == ("divergent", "grid", None, cfg.t_grid()[-1])
+    assert got.t_grid == tuple(cfg.t_grid())
+    # at degree 200 the rows near t = 1 stay open, and the first of them decides
     cfg = fp.RegularizationConfig()
-    ones = fp.sequence_element(np.ones(cfg.max_degree + 1))
-    got = fp.abel_pairing(ones, ones, cfg)
-    assert (got.verdict, got.failed_t) == ("divergent", cfg.t_grid()[-1])
-    assert repr(got) == repr(_reference_abel(ones, ones, cfg))
+    n = cfg.max_degree + 1
+    jitter = fp.sequence_element(1.0 + 0.5j * (-1.0) ** np.arange(n))
+    got = fp.abel_pairing(fp.sequence_element(np.ones(n)), jitter, cfg)
+    assert (got.verdict, got.rule, got.value) == ("undecided", "terms_not_shrinking", None)
+
+
+def test_abel_slow_decay_is_no_pole():
+    # terms of one phase that decay slowly: the series converges, and the
+    # Abel limit is its sum; the terms may still rise, or fall by less than
+    # rule (a) sees, within the horizon.  sum (d+1) r^d = 1 / (1 - r)^2 and
+    # sum r^d (1 + 1/(d+1)) = 1 / (1 - r) - log(1 - r) / r
+    for horizon in (20, 40, 100, 150, 200, 400):
+        cfg = fp.RegularizationConfig(max_degree=horizon)
+        d = np.arange(horizon + 1)
+        ones = fp.sequence_element(np.ones(horizon + 1))
+        known = {
+            "(d+1) 0.995^d": ((d + 1) * 0.995**d, 1.0 / 0.005**2),
+            "(d+1) 0.999^d": ((d + 1) * 0.999**d, 1.0 / 0.001**2),
+            "0.999^d (1 + 1/(d+1))": (0.999**d * (1.0 + 1.0 / (d + 1)), 1.0 / 0.001 - math.log(0.001) / 0.999),
+        }
+        for name, (seq, want) in known.items():
+            got = fp.abel_pairing(ones, fp.sequence_element(seq), cfg)
+            assert got.verdict != "divergent", (name, horizon, got.rule)
+            if got.verdict == "converged":
+                assert abs(got.value - want) <= cfg.tolerance * max(1.0, abs(want)), (name, horizon)
+    # flat terms that turn to a geometric decay past the first _EPS_TERMS
+    # nonzero terms: the pole test reads all of them, not the epsilon window
+    cfg = fp.RegularizationConfig(max_degree=400)
+    d = np.arange(401)
+    turn = fp.sequence_element(np.where(d <= 300, 1.0, 0.9 ** (d - 300.0)))
+    got = fp.abel_pairing(fp.sequence_element(np.ones(401)), turn, cfg)
+    assert got.verdict != "divergent", got.rule
 
 
 # ---------------------------------------------------------------- plumbing
@@ -609,5 +631,7 @@ def test_report_fields_round_out():
     conv = fp.sequence_element(0.5 ** np.arange(n))
     rep_a = fp.abel_pairing(conv, conv, cfg)
     assert rep_a.method == "abel"
-    assert rep_a.t_grid == tuple(cfg.t_grid())
+    # a convergent series is its own Abel limit, and no grid runs for it
+    assert (rep_a.verdict, rep_a.rule, rep_a.t_grid, rep_a.failed_t) == ("converged", "plain_sum", (), None)
+    assert abs(rep_a.value - 4.0 / 3.0) <= cfg.tolerance
     assert rep_a.extrapolation_residual <= cfg.tolerance

@@ -10,9 +10,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# false `converged` verdicts the engine still gives on the fixed verdict set
-# (ROADMAP item 1); more would be a regression
-KNOWN_VERDICT_FAILURES = 109
 
 
 def _run(workload: str) -> dict:
@@ -28,7 +25,7 @@ def test_verdict_workload_emits_result_line():
     result = _run("verdict")
     assert result["correct"] is True
     assert result["attempted"] == 400
-    assert result["failed"] <= KNOWN_VERDICT_FAILURES
+    assert result["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert {m["name"] for m in declared} <= set(result["metrics"])
     assert len(declared) == 6
