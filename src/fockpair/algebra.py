@@ -27,32 +27,36 @@ COPRODUCT_GUARD = 8
 _EMBED_BUDGET = 2_000_000
 
 
-@lru_cache(maxsize=None)
 def basis_size(m: int, d: int) -> int:
     """Dimension of the degree-d slice, binom(d + m - 1, m - 1)."""
     return math.comb(d + m - 1, m - 1)
 
 
-@lru_cache(maxsize=None)
-def _basis_array(m: int, d: int) -> np.ndarray:
+def _basis_rows(m: int, d: int) -> np.ndarray:
     """Multi-indices of degree d over m variables, one per row, graded-lex order.
 
     The order is descending lexicographic: the first coordinate runs from d
     down to 0, and behind each value d - k come the degree-k rows over the
-    remaining m - 1 variables in their own order.
+    remaining m - 1 variables in their own order.  The array is new and kept
+    by no cache; the (m - 1)-variable arrays it stacks come from _basis_array.
     """
     if m == 1:
-        out = np.array([[d]], dtype=np.intp)
-    else:
-        rest = np.concatenate([_basis_array(m - 1, k) for k in range(d + 1)])
-        out = np.column_stack((d - rest.sum(axis=1), rest))
+        return np.array([[d]], dtype=np.intp)
+    rest = np.concatenate([_basis_array(m - 1, k) for k in range(d + 1)])
+    return np.column_stack((d - rest.sum(axis=1), rest))
+
+
+@lru_cache(maxsize=None)
+def _basis_array(m: int, d: int) -> np.ndarray:
+    """_basis_rows(m, d), cached and read-only."""
+    out = _basis_rows(m, d)
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=None)
 def _basis(m: int, d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, _basis_array(m, d).tolist()))
+    return tuple(map(tuple, _basis_rows(m, d).tolist()))
 
 
 # Read-only tables by key: the filled head of a larger array, whose spare room
@@ -455,34 +459,41 @@ def _log_gamma_weights(rows: np.ndarray, ent: tuple[int, ...], d: int) -> np.nda
     return np.array([math.exp(x) for x in exponents.tolist()])[where]
 
 
-def _support_weights(ent: tuple[int, ...], rows: np.ndarray, d: int) -> np.ndarray:
-    """Log-gamma weights for an entry with nonzero exponents ent that leaves out a coordinate.
+def _support_weights(src: np.ndarray, entry: tuple[int, ...], support: list[int], d: int) -> np.ndarray:
+    """Log-gamma weights on the degree-d basis src for an entry that leaves out a coordinate.
 
     An off-support coordinate adds 0.0 to _sqrt_multibinom's log-gamma sum, so
-    a source row weighs what its support row rows[:, 1:] (total <= d) does, bit
-    for bit.  Column 0, never read by _rank, is the slack d minus that total,
-    which ranks each row by its place in one grown table per ent, smaller totals first.
+    a source row weighs what its support row (its coordinates on support,
+    total <= d) does, bit for bit.  Led by the slack d minus their total, the
+    support rows are the degree-d basis over k + 1 variables, k = len(support):
+    src itself when k + 1 = m, else an array that the recursion behind src
+    has cached.  _rank, which never reads column 0, places each source row's
+    support row in one grown table per nonzero exponents, smaller totals first.
     """
+    ent = tuple(entry[i] for i in support)
     k = len(ent)
+    basis = src if k + 1 == src.shape[1] else _basis_array(k + 1, d)
     weights = _grown(("support", ent), math.comb(d + k, k) - 1, lambda start, stop: _log_gamma_weights(
-        _basis_array(k + 1, d)[start:stop, 1:], ent, d))
-    return weights[_rank(rows, d)]
+        basis[start:stop, 1:], ent, d))
+    return weights[_rank(src[:, [0] + support], d)]
 
 
-@lru_cache(maxsize=None)
-def _scatter_map(m: int, d_src: int, entry: tuple[int, ...]):
+def _scatter_map(m: int, d_src: int, entry: tuple[int, ...], src: np.ndarray | None = None):
     """Target positions and weights for multiplying degree d_src by v^entry.
 
-    D -> D + entry is injective, so the returned index array has no repeats
-    and a scatter through it adds to each target position once.  The
-    weights are bit for bit those of _sqrt_multibinom(D, entry): the same
-    exact binomials below _EXACT_DEGREE, the same log-gamma sums above it.
-    There, an entry on every coordinate has a support row per source row that
-    recurs at no other source degree, so its table is weighed alone; any
-    other entry reads _support_weights, shared across entries and degrees.
+    src is the degree-d_src basis, _basis_rows(m, d_src), built here unless
+    the caller passes it.  D -> D + entry is injective, so the returned index
+    array has no repeats and a scatter through it adds to each target
+    position once.  The weights are bit for bit those of
+    _sqrt_multibinom(D, entry): the same exact binomials below _EXACT_DEGREE,
+    the same log-gamma sums above it.  There, an entry on every coordinate
+    has a support row per source row that recurs at no other source degree,
+    so its table is weighed alone; any other entry reads _support_weights,
+    shared across entries and degrees.
     """
+    if src is None:
+        src = _basis_rows(m, d_src)
     d_tgt = d_src + sum(entry)
-    src = _basis_array(m, d_src)
     ent = np.array(entry, dtype=np.intp)
     tgt = src + ent
     idx = _rank(tgt, d_tgt)
@@ -492,7 +503,46 @@ def _scatter_map(m: int, d_src: int, entry: tuple[int, ...]):
     support = [i for i, e in enumerate(entry) if e]
     if len(support) == m:
         return idx, _log_gamma_weights(src, entry, d_src)
-    return idx, _support_weights(tuple(entry[i] for i in support), src[:, [0] + support], d_src)
+    return idx, _support_weights(src, entry, support, d_src)
+
+
+# A degree pair whose stacked product would hold more coefficients than this
+# scatters entry by entry, so its temporaries stay small beside the plan
+_STACK_BUDGET = 16384
+
+
+def _stacked(rows: int, n: int) -> bool:
+    """Whether a degree pair with rows nonzero entries and n source coefficients scatters as one stack.
+
+    A single entry never does: a one-element stack rounds differently from
+    the scalar form.
+    """
+    return 1 < rows and rows * n <= _STACK_BUDGET
+
+
+@lru_cache(maxsize=None)
+def _scatter_plan(m: int, d_src: int, d_ent: int, nonzero: bytes | None):
+    """Scatter tables for multiplying degree d_src by the degree-d_ent entries.
+
+    nonzero is the boolean mask of the entries that take part, as bytes, or
+    None for all of them.  Row r of the returned (idx, w) is _scatter_map's
+    table for the r-th of those entries.  A pair that scatters as one stack
+    gets two 2-D arrays; any other keeps the tables as made, in tuples.
+    Copied into one large array, they would free as much memory as the plan
+    keeps, and the allocator would fault it back in for the next plan.
+    """
+    src = _basis_rows(m, d_src)
+    entries = _basis(m, d_ent)
+    if nonzero is not None:
+        entries = list(itertools.compress(entries, np.frombuffer(nonzero, dtype=bool)))
+    idx, w = zip(*(_scatter_map(m, d_src, entry, src) for entry in entries))
+    if _stacked(len(entries), len(src)):
+        idx, w = np.stack(idx), np.stack(w)
+        idx.flags.writeable = w.flags.writeable = False
+    else:
+        for table in idx + w:
+            table.flags.writeable = False
+    return idx, w
 
 
 def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64, *,
@@ -504,6 +554,11 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64, *,
     product is flagged truncated, not an error.  out, if given, is a complex
     array of exactly the product's coefficient count: it is overwritten and
     becomes the product's buffer, so the caller must not write it afterwards.
+
+    Each degree pair is one scatter through its plan: the nonzero entries of
+    one side times the weights times the other side, added in entry order.
+    A single entry, or a pair past _STACK_BUDGET, scatters entry by entry
+    with a scalar coefficient, which gives the same bits.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("dims differ")
@@ -528,13 +583,19 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64, *,
             arr_b, tgt = b._buf[at_b[db]], out[at_out[da + db]]
             # scatter from the side with fewer nonzero entries
             if nnz_a <= nnz_b:
-                entries, spread, d_spread = arr_a, arr_b, db
+                entries, nnz, spread, d_spread = arr_a, nnz_a, arr_b, db
             else:
-                entries, spread, d_spread = arr_b, arr_a, da
-            ent_basis = _basis(m, da + db - d_spread)
-            for k in entries.nonzero()[0].tolist():
-                idx, w = _scatter_map(m, d_spread, ent_basis[k])
-                np.add.at(tgt, idx, entries[k] * w * spread)
+                entries, nnz, spread, d_spread = arr_b, nnz_b, arr_a, da
+            nonzero = None
+            if nnz < len(entries):
+                mask = entries != 0
+                nonzero, entries = mask.tobytes(), entries[mask]
+            idx, w = _scatter_plan(m, d_spread, da + db - d_spread, nonzero)
+            if _stacked(nnz, len(spread)):
+                np.add.at(tgt, idx.ravel(), (entries[:, None] * w * spread).ravel())
+            else:
+                for k in range(nnz):
+                    np.add.at(tgt, idx[k], entries[k] * w[k] * spread)
     return GradedElement._fresh(m, layout, out, horizon, a.truncated or b.truncated or dropped)
 
 

@@ -18,21 +18,22 @@ brackets):
     [geometric_tail];
   * fewer than 8 nonzero terms leave the rest undecided [window_too_short];
   * epsilon sees only rows whose largest |term| in the last quarter of the
-    epsilon window is below 0.9 x the largest in the quarter before; on
-    terms that do not shrink it would return the analytic continuation, not
-    a sum [terms_not_shrinking];
-  * the epsilon algorithm is applied to the partial sums and convergence is
-    claimed only when the tableau residual and a shortened-window
-    cross-check both sit below tolerance [epsilon, else epsilon_residual].
+    epsilon window (the last 220 nonzero terms) is below 0.9 x the largest
+    in the quarter before; on terms that do not shrink it would return the
+    analytic continuation, not a sum [terms_not_shrinking];
+  * the epsilon algorithm is applied to the last 220 partial sums of all
+    the nonzero terms, and convergence is claimed only when the tableau
+    residual and a shortened-window cross-check both sit below tolerance
+    [epsilon, else epsilon_residual].
 
 The Abel pairing works from the plain terms first and tries, in order:
   1. the plain series' rules: a convergent series sums to its Abel limit
      (Abel's theorem) [plain_sum];
-  2. when the plain terms do not shrink or diverge, the epsilon value of the
-     plain partial sums, full and 3/4 window within tolerance, accepted only
-     if a fit log|a_d| = alpha + beta d + gamma log(d+1) over the second half
-     of the nonzero terms gives beta <= 1e-3, a radius of convergence of at
-     least one [continuation];
+  2. when the plain terms do not shrink or diverge, and a fit
+     log|a_d| = alpha + beta d + gamma log(d+1) over the second half of the
+     nonzero terms gives beta <= 1e-3, a radius of convergence of at least
+     one: the epsilon value of the plain partial sums, full and 3/4 window
+     within tolerance [continuation];
   3. terms of one phase that do not decay: the same fit gives beta >= 0 and
      no magnitude in its range falls below the one before; a pole at s = 1
      [pole];
@@ -375,11 +376,12 @@ def _shrinking(mags: np.ndarray) -> np.ndarray:
 def _epsilon_check(w: np.ndarray) -> list[tuple[complex, float]]:
     """(value, residual) of the epsilon limit of each row's partial sums.
 
-    The residual is the larger of the tableau residual and the gap to the
-    value of the shortened (3/4) window; both windows are read off one
-    epsilon call for the whole block.
+    The partial sums run over all of a row's terms, and epsilon reads the
+    last _EPS_TERMS of them.  The residual is the larger of the tableau
+    residual and the gap to the value of the shortened (3/4) window; both
+    windows are read off one epsilon call for the whole block.
     """
-    sums = np.cumsum(w, axis=1)
+    sums = np.cumsum(w, axis=1)[:, -_EPS_TERMS:]
     width = sums.shape[1]
     lengths = np.array([[width, max(8, 3 * width // 4)]] * len(w))
     values, resids = wynn_epsilon(sums, lengths)
@@ -442,11 +444,11 @@ def _rules(block: np.ndarray, degrees: np.ndarray, finite: bool, cfg: Regulariza
     if len(nz) >= 8 and open_rows:
         # epsilon on the partial sums of terms that do not shrink returns the
         # analytic continuation, not a sum: those rows never reach it
-        shrinks = _shrinking(mags[open_rows, :_EPS_TERMS]).tolist()
+        shrinks = _shrinking(mags[open_rows, -_EPS_TERMS:]).tolist()
         reasons = {i: "epsilon_residual" if ok else "terms_not_shrinking" for i, ok in zip(open_rows, shrinks)}
         tried = [i for i, ok in zip(open_rows, shrinks) if ok]
         if tried:
-            for i, (value, resid) in zip(tried, _epsilon_check(w[tried, :_EPS_TERMS])):
+            for i, (value, resid) in zip(tried, _epsilon_check(w[tried])):
                 if math.isfinite(resid) and resid <= tol:
                     outcomes[i] = _SeriesOutcome(value, "converged", resid, used, "epsilon")
     for i, reason in reasons.items():
@@ -531,7 +533,8 @@ def _abel_off_grid(terms: np.ndarray, finite: bool, cfg: RegularizationConfig) -
     terms' radius of convergence is at least one; a pole at s = 1, when the
     terms keep one phase and do not decay.  The radius fit, the phase and the
     decay are read over all the nonzero terms (the fit and the decay over
-    their second half); epsilon sees the first _EPS_TERMS of them.
+    their second half); epsilon sees the partial sums of all of them, and
+    is tried only when the fit allows a radius of at least one.
     """
     plain = _series(terms, finite, cfg)[0]
     if plain.verdict == "converged":
@@ -542,9 +545,10 @@ def _abel_off_grid(terms: np.ndarray, finite: bool, cfg: RegularizationConfig) -
     nz = terms.nonzero()[0]
     fit = nz[len(nz) // 2:]
     beta = _log_growth(terms, fit)
-    (value, resid), = _epsilon_check(terms[None, nz[:_EPS_TERMS]])
-    if math.isfinite(resid) and resid <= cfg.tolerance and beta <= _MAX_BETA:
-        return _SeriesOutcome(value, "converged", resid, plain.used_degree, "continuation")
+    if beta <= _MAX_BETA:
+        (value, resid), = _epsilon_check(terms[None, nz])
+        if math.isfinite(resid) and resid <= cfg.tolerance:
+            return _SeriesOutcome(value, "converged", resid, plain.used_degree, "continuation")
     # a pole needs terms that do not decay: a flat or rising fit, and no
     # magnitude below the one before it; a slow decay leaves the grid to decide
     phase = terms[nz] / np.abs(terms[nz])

@@ -244,17 +244,26 @@ def test_grown_table_fills_only_new_rows():
         del algebra._grown_tables[key]
 
 
-def _assert_reference_table(table, m, d_src, entry):
-    idx, w = table(m, d_src, entry)
-    ref_idx, ref_w = _loop_scatter_map(m, d_src, entry)
-    assert idx.dtype == ref_idx.dtype and w.dtype == ref_w.dtype
-    assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w), (m, d_src, entry)
+def _assert_reference_plan(plan, m, d_src, entries):
+    """Each row of the plans for entries (any degrees) is the loop reference's table."""
+    for d_ent in sorted({sum(entry) for entry in entries}):
+        mask = np.array([E in entries for E in fp.enumerate_basis(m, d_ent)])
+        idx, w = plan(m, d_src, d_ent, None if mask.all() else mask.tobytes())
+        rows = [E for E, keep in zip(fp.enumerate_basis(m, d_ent), mask) if keep]
+        # stacked as 2-D arrays exactly when the product scatters them at once
+        stacked = algebra._stacked(len(rows), fp.basis_size(m, d_src))
+        assert len(idx) == len(w) == len(rows) and isinstance(idx, np.ndarray) == isinstance(w, np.ndarray) == stacked
+        for r, entry in enumerate(rows):
+            ref_idx, ref_w = _loop_scatter_map(m, d_src, entry)
+            assert idx[r].dtype == ref_idx.dtype and w[r].dtype == ref_w.dtype
+            assert not idx[r].flags.writeable and not w[r].flags.writeable
+            assert np.array_equal(idx[r], ref_idx) and np.array_equal(w[r], ref_w), (m, d_src, entry)
 
 
 def test_scatter_tables_match_loop_reference():
     # target degrees 1 to 43 cover both sides of _EXACT_DEGREE; at m = 5 the
     # reference loop costs about 0.8 s per entry, so it takes three entries
-    table = algebra._scatter_map.__wrapped__  # uncached, so the grid leaves no tables behind
+    plan = algebra._scatter_plan.__wrapped__  # uncached, so the grid leaves no plans behind
     grid = {m: (range(41), fp.enumerate_basis(m, 1) + fp.enumerate_basis(m, 2) + fp.enumerate_basis(m, 3)[::4])
             for m in (1, 2, 3)}
     grid[4] = (range(25), fp.enumerate_basis(4, 1) + fp.enumerate_basis(4, 2))
@@ -264,8 +273,7 @@ def test_scatter_tables_match_loop_reference():
     extra = {3: (range(46, 81, 6), fp.enumerate_basis(3, 2)), 4: ((30, 39, 48), fp.enumerate_basis(4, 2))}
     for degrees, entries in list(grid.values()) + list(extra.values()):
         for d_src in degrees:
-            for entry in entries:
-                _assert_reference_table(table, len(entry), d_src, entry)
+            _assert_reference_plan(plan, len(entries[0]), d_src, entries)
 
 
 def test_scatter_tables_bit_identical_in_any_build_order():
@@ -280,12 +288,12 @@ def test_scatter_tables_bit_identical_in_any_build_order():
                  (5, (16, 21, 26), [(0, 0, 1, 0, 0), (1, 0, 0, 1, 0), (0, 1, 1, 0, 1), (1, 1, 1, 1, 0)]))
              for d_src in degrees for entry in entries]
     random.Random(71).shuffle(cases)
-    algebra._scatter_map.cache_clear()
+    algebra._scatter_plan.cache_clear()
     for key in [key for key in algebra._grown_tables if key[0] == "support"]:
         del algebra._grown_tables[key]
     served = {}
     for m, d_src, entry in cases:
-        _assert_reference_table(algebra._scatter_map, m, d_src, entry)
+        _assert_reference_plan(algebra._scatter_plan, m, d_src, [entry])
         if d_src + sum(entry) > algebra._EXACT_DEGREE and 0 in entry:
             key = tuple(e for e in entry if e)
             served[key] = max(served.get(key, 0), d_src)
@@ -405,6 +413,39 @@ def test_gaussian_series_matches_reference_power_loop_bits():
             got = fp.gaussian_series(seed, cap=cap)
             want = fp.GradedElement(m, _reference_gaussian_components(seed, cap), cap, True)
             assert _same_bits(got, want), (m, cap)
+
+
+def test_scatter_plans_hold_only_their_rows(monkeypatch):
+    cached = algebra._basis_array
+    arrays, rows = set(), []
+    monkeypatch.setattr(algebra, "_basis_array", lambda m, d: arrays.add((m, d)) or cached(m, d))
+    scatter_map = algebra._scatter_map
+    monkeypatch.setattr(algebra, "_scatter_map", lambda m, d_src, entry, src: rows.append((d_src, entry))
+                        or scatter_map(m, d_src, entry, src))
+    cached.cache_clear()
+    algebra._scatter_plan.cache_clear()
+    # a dense m = 3 series: vacuum x zeta, zeta x zeta / 2, then zeta spread
+    # over each higher power, one plan each
+    cap = 40
+    seed = fp.GaussianSeed.from_map(fp.random_symmetric(3, np.random.default_rng(5), norm=0.5))
+    assert seed.quadratic._nonzero_counts() == {2: 6}
+    fp.gaussian_series(seed, cap)
+    keys = [(3, 2, 0, None), (3, 2, 2, None)] + [(3, d, 2, None) for d in range(4, cap - 1, 2)]
+    info = algebra._scatter_plan.cache_info()
+    assert info.currsize == len(keys)
+    held = sum(table.nbytes for key in keys for rows in algebra._scatter_plan(*key) for table in rows)
+    assert algebra._scatter_plan.cache_info().hits == info.hits + len(keys)
+    # 16 B per (source coefficient, nonzero entry)
+    assert held == 16 * sum(fp.basis_size(3, d_ent) * fp.basis_size(3, d_src) for _, d_src, d_ent, _ in keys)
+    # the plans read source bases that no cache keeps: only the arrays of
+    # fewer variables they are stacked from stay
+    assert max(m for m, _ in arrays) == 2 and cached.cache_info().currsize == len(arrays)
+    # conjugation(4) has 4 nonzero degree-2 entries of 10: the plans build a
+    # row for each of them and none for the others
+    rows.clear()
+    fp.gaussian_series(fp.GaussianSeed.from_map(fp.conjugation(4)), 12)
+    diagonal = [entry for entry in fp.enumerate_basis(4, 2) if 2 in entry]
+    assert sorted(rows) == sorted([(2, (0, 0, 0, 0))] + [(d, entry) for d in range(2, 11, 2) for entry in diagonal])
 
 
 # ---------------------------------------------------------------- coproduct and antidual product

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import fockpair as fp
-from fockpair import gaussian, suites
-from fockpair.algebra import basis_size
+from fockpair import algebra, gaussian, suites
 from fockpair.antilinear import random_symmetric
 from fockpair.pairing import degree_terms
 
@@ -163,15 +162,17 @@ def test_budget_guard(monkeypatch):
 
 
 def test_budget_guard_fails_fast(monkeypatch):
-    # the count stops once it passes the budget and fills no basis_size
-    # cache entry: at m = 1 a cap of 10^6 is 500,001 coefficients
+    # the count stops once it passes the budget, with few binomials and no
+    # layout made: at m = 1 a cap of 10^6 is 500,001 coefficients
     monkeypatch.setattr(gaussian, "_BUDGET", 1000)
-    before = basis_size.cache_info().currsize
-    with pytest.raises(fp.GuardExceeded):
-        fp.gaussian_series(seed_from([[0.5]]), 10**6)
-    with pytest.raises(fp.GuardExceeded):
-        fp.gaussian_series(seed_from(0.5 * np.eye(3)), 10**6)
-    assert basis_size.cache_info().currsize - before < 100
+    seeds = seed_from([[0.5]]), seed_from(0.5 * np.eye(3))
+    calls, comb = [], math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: calls.append(n) or comb(n, k))
+    layouts = algebra._layout.cache_info().misses
+    for seed in seeds:
+        with pytest.raises(fp.GuardExceeded):
+            fp.gaussian_series(seed, 10**6)
+    assert len(calls) < 100 and algebra._layout.cache_info().misses == layouts
 
 
 def test_vanished_power_keeps_filled_degrees():

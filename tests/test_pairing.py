@@ -384,6 +384,27 @@ def test_abel_slow_decay_is_no_pole():
     assert got.verdict != "divergent", got.rule
 
 
+def test_epsilon_reads_the_last_window():
+    # 0.9^d below degree 220, then 1e-5 (-1)^d / sqrt(d + 1) to degree 400:
+    # the terms past the first _EPS_TERMS nonzero ones move the sum by 3.4e-7.
+    # With n = d + 1 the tail is 1e-5 (eta(1/2) - sum_{n <= 220} (-1)^(n-1) / sqrt(n)),
+    # and eta(1/2) = (1 - sqrt 2) zeta(1/2)
+    cfg = fp.RegularizationConfig(max_degree=400)
+    d = np.arange(401)
+    n = np.arange(1, 221)
+    eta_half = 0.6048986434216303
+    want = math.fsum(0.9 ** np.arange(220)) + 1e-5 * (eta_half - math.fsum((-1.0) ** (n - 1) / np.sqrt(n)))
+    seq = fp.sequence_element(np.where(d < 220, 0.9**d, 1e-5 * (-1.0) ** d / np.sqrt(d + 1)))
+    ones = fp.sequence_element(np.ones(401))
+    # the terms of the last window fall by less than rule (a) asks: no sum
+    plain = fp.pairing_1(ones, seq, cfg)
+    assert (plain.verdict, plain.rule, plain.value) == ("undecided", "terms_not_shrinking", None)
+    # the continuation reads the partial sums of all 401 terms
+    abel = fp.abel_pairing(ones, seq, cfg)
+    assert (abel.verdict, abel.rule) == ("converged", "continuation")
+    assert abs(abel.value - want) <= cfg.tolerance, abel.value
+
+
 # ---------------------------------------------------------------- plumbing
 
 
