@@ -231,26 +231,27 @@ class GradedElement:
             buf[start:end] = arrays[d]
         self._init(dim, layout, buf, max_degree, truncated)
 
-    def _init(self, dim, layout, buf, max_degree, truncated):
-        buf.flags.writeable = False
+    def _init(self, dim, layout, buf, max_degree, truncated, nnz=None):
+        buf.setflags(write=False)  # half the cost of setting flags.writeable
         self._dim = dim
         self._max_degree = max_degree
         self._truncated = truncated
         self._layout = layout
         self._buf = buf
         # nonzero entries per nonzero degree, filled on first use by _nonzero_counts
-        self._nnz = None
+        self._nnz = nnz
 
     @classmethod
     def _fresh(cls, dim: int, layout: _Layout, buf: np.ndarray, max_degree: int,
-               truncated: bool) -> "GradedElement":
+               truncated: bool, nnz: dict[int, int] | None = None) -> "GradedElement":
         """Element over a complex buffer the algebra has just allocated for layout.
 
         Skips the checks of __init__ and copies nothing; it only freezes the
-        buffer, which no one else holds.
+        buffer, which no one else holds.  nnz, if given, is what
+        _nonzero_counts would return for buf, counted by the caller.
         """
         el = object.__new__(cls)
-        el._init(dim, layout, buf, max_degree, truncated)
+        el._init(dim, layout, buf, max_degree, truncated, nnz)
         return el
 
     # read-only, like the buffer
@@ -545,6 +546,13 @@ def _scatter_plan(m: int, d_src: int, d_ent: int, nonzero: bytes | None):
     return idx, w
 
 
+# bounded like _layout; a Gaussian series asks for one key per power
+@lru_cache(maxsize=1024)
+def _product_layout(m: int, degrees_a: tuple[int, ...], degrees_b: tuple[int, ...], horizon: int) -> _Layout:
+    """Layout of a product of factors with these nonzero degrees: every sum of two up to horizon."""
+    return _layout(m, tuple(sorted({da + db for da in degrees_a for db in degrees_b if da + db <= horizon})))
+
+
 def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64, *,
                       out: np.ndarray | None = None) -> GradedElement:
     """Graded product by convolution of coefficient vectors.
@@ -560,12 +568,12 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64, *,
     A single entry, or a pair past _STACK_BUDGET, scatters entry by entry
     with a scalar coefficient, which gives the same bits.
     """
-    if a.dim != b.dim:
+    if a._dim != b._dim:
         raise DimensionMismatch("dims differ")
-    m = a.dim
+    m = a._dim
     horizon = _horizon(a, b, cap)
     counts_a, counts_b = a._nonzero_counts(), b._nonzero_counts()
-    layout = _layout(m, tuple(sorted({da + db for da in counts_a for db in counts_b if da + db <= horizon})))
+    layout = _product_layout(m, tuple(counts_a), tuple(counts_b), horizon)
     if out is None:
         out = np.zeros(layout.offsets[-1], dtype=complex)
     elif out.dtype != complex or out.shape != (layout.offsets[-1],):
@@ -596,7 +604,7 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64, *,
             else:
                 for k in range(nnz):
                     np.add.at(tgt, idx[k], entries[k] * w[k] * spread)
-    return GradedElement._fresh(m, layout, out, horizon, a.truncated or b.truncated or dropped)
+    return GradedElement._fresh(m, layout, out, horizon, a._truncated or b._truncated or dropped)
 
 
 def coproduct_oracle(D: tuple[int, ...]):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GradedElement, _layout, scale, symmetric_product, vacuum
+from .algebra import GradedElement, _layout, symmetric_product, vacuum
 from .antilinear import (
     AntilinearSymmetricMap,
     TakagiFactorization,
@@ -20,6 +20,7 @@ from .errors import DomainError, GuardExceeded
 
 DEFAULT_CAP = 120
 _BUDGET = 50_000_000  # total coefficient budget across all degrees
+_FACTOR_BLOCK = 128  # factors zeta / n made per broadcast
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,22 @@ class GaussianSeed:
         return float(self.factorization.values[0])
 
 
+def _factors(zeta: GradedElement, powers: int):
+    """The factors zeta / n for n = 1 to powers, as elements that carry their nonzero counts.
+
+    Each block of rows is one broadcast, which casts 1 / n to complex as
+    scale does, so a row has scale's bits; its counts are one pass over the
+    rows, never zeta's, as an entry can underflow once divided.  The blocks
+    are made as the loop asks for them, since a series can stop long before
+    its cap.  zeta is a quadratic element: one stored degree, two.
+    """
+    for start in range(1, powers + 1, _FACTOR_BLOCK):
+        rows = (1.0 / np.arange(start, min(start + _FACTOR_BLOCK, powers + 1)))[:, None] * zeta._buf
+        for row, nnz in zip(rows, np.count_nonzero(rows, axis=1).tolist()):
+            yield GradedElement._fresh(zeta.dim, zeta._layout, row, zeta.max_degree, zeta.truncated,
+                                       {2: nnz} if nnz else {})
+
+
 def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP) -> GradedElement:
     """Truncation of exp(Z) = sum_d zeta^d / d! up to total degree cap.
 
@@ -58,8 +75,9 @@ def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP) -> GradedElement
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     m = seed.dim
-    # counted without the basis_size cache and only until past the budget, so
-    # an oversized cap fails at once; at m = 1 every degree has one coefficient
+    # the count stops once past the budget, so an oversized cap fails at once
+    # rather than after summing a binomial per degree; at m = 1 every degree
+    # has one coefficient
     total, d = (cap // 2 + 1, cap + 2) if m == 1 else (0, 0)
     while d <= cap and total <= _BUDGET:
         total += math.comb(d + m - 1, m - 1)
@@ -69,13 +87,13 @@ def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP) -> GradedElement
     zeta = seed.quadratic
     grows = 2 in zeta.nonzero_degrees()  # else the powers vanish and the series is exact
     layout = _layout(m, tuple(range(0, cap + 1, 2)))
+    offsets = layout.offsets
     buf = np.empty(total, dtype=complex)
     buf[0] = 1.0
     term = vacuum(m)
     n = 0
-    while grows and 2 * (n + 1) <= cap:
-        at = buf[layout.offsets[n + 1] : layout.offsets[n + 2]]
-        term = symmetric_product(term, scale(zeta, 1.0 / (n + 1)), cap=cap, out=at)
+    for factor in _factors(zeta, cap // 2 if grows else 0):
+        term = symmetric_product(term, factor, cap=cap, out=buf[offsets[n + 1] : offsets[n + 2]])
         if 2 * (n + 1) not in term._nonzero_counts():
             break
         n += 1

@@ -404,15 +404,53 @@ def _reference_gaussian_components(seed, cap):
     return comps
 
 
-def test_gaussian_series_matches_reference_power_loop_bits():
+def _plan_keys(monkeypatch, build):
+    """The _scatter_plan keys that build() asks for, in order, and what it returns."""
+    keys, plan = [], algebra._scatter_plan
+    monkeypatch.setattr(algebra, "_scatter_plan", lambda *key: keys.append(key) or plan(*key))
+    got = build()
+    monkeypatch.setattr(algebra, "_scatter_plan", plan)
+    return keys, got
+
+
+def _scaled_factor_plan_keys(monkeypatch, seed, cap):
+    """The plan keys of the power loop whose factors are scale(zeta, 1 / n), counted from their own buffers."""
+    def build():
+        term = fp.vacuum(seed.dim)
+        for n in range(1, cap // 2 + 1):
+            term = fp.symmetric_product(term, fp.scale(seed.quadratic, 1.0 / n), cap=cap)
+            if 2 * n not in term.nonzero_degrees():
+                break
+    return _plan_keys(monkeypatch, build)[0]
+
+
+def test_gaussian_series_matches_reference_power_loop_bits(monkeypatch):
     rng = np.random.default_rng(67)
+    cases = []
     for m, cap in ((1, 200), (2, 160), (3, 80), (4, 24)):
         diagonal = np.diag(0.9 * rng.uniform(0.2, 1.0, m) * np.exp(1j * rng.uniform(0, 2 * np.pi, m)))
-        for a in (fp.random_symmetric(m, rng, norm=0.8).matrix, diagonal):
-            seed = fp.GaussianSeed.from_matrix(a)
-            got = fp.gaussian_series(seed, cap=cap)
-            want = fp.GradedElement(m, _reference_gaussian_components(seed, cap), cap, True)
-            assert _same_bits(got, want), (m, cap)
+        cases += [(cap, fp.random_symmetric(m, rng, norm=0.8).matrix), (cap, diagonal)]
+    # zero entries in zeta, so the plans take a nonzero mask
+    sparse = fp.random_symmetric(3, rng, norm=0.8).matrix.copy()
+    sparse[0, 1] = sparse[1, 0] = sparse[2, 2] = 0.0
+    # zeta's v_2^2 entry is the smallest subnormal, and zeta / n underflows
+    # to zero from n = 2 on, so those factors have fewer nonzero entries than zeta
+    cases += [(80, sparse), (40, np.diag([0.9, 1e-323]))]
+    for cap, a in cases:
+        seed = fp.GaussianSeed.from_matrix(a)
+        m = seed.dim
+        keys, got = _plan_keys(monkeypatch, lambda: fp.gaussian_series(seed, cap=cap))
+        want = fp.GradedElement(m, _reference_gaussian_components(seed, cap), cap, True)
+        assert _same_bits(got, want), (m, cap)
+        assert keys == _scaled_factor_plan_keys(monkeypatch, seed, cap), (m, cap)
+    assert any(key[3] is not None for key in _plan_keys(monkeypatch, lambda: fp.gaussian_series(
+        fp.GaussianSeed.from_matrix(sparse), cap=8))[0])
+    # zeta has 2 nonzero entries and zeta / 2 one: the second product
+    # scatters from that one, where 2 would have picked zeta's two
+    tiny = fp.GaussianSeed.from_matrix(np.diag([0.9, 1e-323]))
+    assert tiny.quadratic._nonzero_counts() == {2: 2}
+    assert _plan_keys(monkeypatch, lambda: fp.gaussian_series(tiny, cap=6))[0] == [
+        (2, 2, 0, None), (2, 2, 2, bytes([1, 0, 0])), (2, 2, 4, bytes([1, 0, 0, 0, 0]))]
 
 
 def test_scatter_plans_hold_only_their_rows(monkeypatch):

@@ -213,6 +213,29 @@ def test_power_loop_validates_no_element_per_power(monkeypatch):
     assert not any(v.flags.writeable for v in g.components.values())
 
 
+def test_power_loop_makes_one_product_per_power_and_no_scale(monkeypatch):
+    # every power of a dense seed is nonzero up to the cap: one product each,
+    # reached through the module global, and the factors zeta / n come from
+    # one broadcast per block rather than from scale
+    products, product = [], gaussian.symmetric_product
+
+    def spy(term, factor, **kwargs):
+        products.append((factor, factor._nnz))
+        return product(term, factor, **kwargs)
+
+    monkeypatch.setattr(gaussian, "symmetric_product", spy)
+    monkeypatch.setattr(algebra, "scale", lambda *args: pytest.fail("scale called"))
+    seed = random_seed(np.random.default_rng(29), 3, 0.8)
+    for cap in (2, 40, 2 * gaussian._FACTOR_BLOCK + 10):
+        products.clear()
+        g = fp.gaussian_series(seed, cap=cap)
+        assert g.nonzero_degrees() == list(range(0, cap + 1, 2))
+        assert len(products) == cap // 2
+        # each factor comes with its nonzero counts, so the product takes none
+        assert [nnz for _, nnz in products] == [{2: 6}] * (cap // 2)
+        assert all(np.array_equal(f._buf, seed.quadratic._buf * (1.0 / n)) for n, (f, _) in enumerate(products, 1))
+
+
 def test_pair_closed_domain_errors():
     sigma = fp.GaussianSeed.from_map(fp.conjugation(2))
     with pytest.raises(fp.DomainError):
