@@ -50,6 +50,13 @@ for the rows the earlier rules leave open; `_report` turns an outcome into
 the report.  The epsilon call builds a scalar tableau when the table is small
 and a batched numpy table of complex columns otherwise, with np.reciprocal in
 place of CPython's division; both give the same bits (`_epsilon_table`).
+Both stop building columns once every prefix they evaluate is settled: its
+residual is exactly 0 (an even-column candidate equals its usable left
+neighbour, as on rational generating functions and partial sums that have
+stopped changing) or is the NaN of column 0.  A candidate replaces the best
+only with a strictly smaller residual, and a NaN at column 0 wins outright,
+so no later column can change a settled prefix and the bits are those of the
+full table.
 """
 
 from __future__ import annotations
@@ -87,13 +94,20 @@ _SENTINEL = complex(_HUGE)
 _USABLE = _HUGE / 10
 # Epsilon tables with rows x (width + _SCALAR_ROW_COST) <= _SCALAR_ENTRIES
 # take the scalar tableau, which pays per entry (rows x width^2 / 2) and per
-# row; larger ones the numpy table, which pays seven numpy calls per column.
-# Measured on a 2-vCPU x86-64 guest (Python 3.11, numpy 2.4, both kernels
-# alternating on one core, two prefixes per row, best of 40), the two break
-# even at these widths (rows: break-even width / the rule's largest width):
-#   1: 58/60   2: 26/28   3: 15/17   4: 10/12   5: 8/8   6: 6/6   8: 4/4   10: 3/2
-_SCALAR_ENTRIES = 64
+# row; larger ones the numpy table, which pays seven numpy calls per column
+# and a settle check every _SETTLE_EVERY even columns.  Measured on rows that
+# never settle, so that both kernels build every column (2-vCPU x86-64 guest,
+# Python 3.11, numpy 2.4, both kernels alternating on one core, two prefixes
+# per row, best of 60 process-time samples), the two break even at these
+# widths (rows: break-even width / the rule's largest width):
+#   1: 66/64   2: 30/30   3: 18/18   4: 12/13   5: 9/9   6: 7/7   8: 4/4   10: 3/2
+_SCALAR_ENTRIES = 68
 _SCALAR_ROW_COST = 4
+# The numpy table looks for settled prefixes once every this many even
+# columns.  A check costs about half a column; a table that never settles
+# pays 5-10% for them, one that settles stops at most 2 x this many columns
+# after it.
+_SETTLE_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -211,7 +225,8 @@ def wynn_epsilon(sums, lengths=None):
 
     A small table (few rows, short ones) is built as a scalar tableau, a
     larger one as a numpy table, by the rule above `_SCALAR_ENTRIES`; both
-    give the same bits.
+    give the same bits.  Either stops once every prefix is settled (residual
+    exactly 0, or NaN at column 0), which no later column can change.
     """
     s = np.asarray(sums, dtype=complex)
     if s.ndim == 1:
@@ -241,7 +256,10 @@ def _tableau_row(row: list[complex], prefixes: list[int]) -> list[tuple[complex,
     The entries follow the recurrence of `_epsilon_table` in CPython's
     complex arithmetic, which that kernel reproduces, so both give the same
     bits.  Each prefix keeps its best candidate, its residual and the last
-    candidate it accepted while the even columns go by.
+    candidate it accepted while the even columns go by.  A prefix whose
+    residual is exactly 0, or NaN at column 0, is settled and leaves the
+    active ones after the column that settles it; the tableau ends at the
+    last column an active prefix reads.
     """
     width = max(prefixes, default=0)
     # [value, residual, last accepted value, prefix length]
@@ -253,14 +271,23 @@ def _tableau_row(row: list[complex], prefixes: list[int]) -> list[tuple[complex,
             last = row[p - 1]
             states.append([last, _modulus(last - row[p - 2]) if p >= 2 else math.inf, last, p])
     one, sentinel = 1 + 0j, _SENTINEL
+    # the prefixes a later column can still change: a residual of exactly 0,
+    # or a NaN one of the last partial sum, is never beaten
+    active = [st for st in states if st[1] > 0]
+    # prefix p reads the columns k <= p - 1; the tableau ends at the last
+    # one an active prefix reads
+    stop = max([st[3] for st in active], default=1) - 1
     # the recurrence starts from the sums + 0j, which holds no negative zero
     prev2, prev = [0j] * width, [x + 0j for x in row[:width]]
     for k in range(1, width):
+        if k > stop:
+            break
         # 1 / d exactly as 1.0 / d; a zero or non-finite d gives the sentinel
         cur = [q + one / d if (d := b - a) and d - d == 0j else sentinel
                for a, b, q in zip(prev, prev[1:], prev2[1:])]
         if k % 2 == 0:
-            for st in states:
+            settled = False
+            for st in active:
                 j = st[3] - 1 - k
                 if j < 0:
                     continue
@@ -274,7 +301,11 @@ def _tableau_row(row: list[complex], prefixes: list[int]) -> list[tuple[complex,
                     # residual of the last partial sum
                     if resid < st[1]:
                         st[0], st[1] = v, resid
+                        settled = settled or resid == 0
                     st[2] = v
+            if settled:
+                active = [st for st in active if st[1] > 0]
+                stop = max([st[3] for st in active], default=1) - 1
         prev2, prev = prev, cur
     return [(v, r) for v, r, _, _ in states]
 
@@ -302,6 +333,15 @@ def _epsilon_table(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
     sums + 0j: no column then holds a negative zero, and a sum is -0 only
     when both addends are.  |z| is hypot(re, im), and the minimum keeps the
     first of equal residuals and never moves off a NaN first residual.
+
+    The table ends at the last column a live prefix reads.  A prefix dies
+    when it settles: its column-0 residual is 0 or NaN, or a usable
+    candidate equals its usable left neighbour (residual exactly 0).  No
+    later candidate can then win, so the selection below, run over the
+    columns built, gives the bits of the full table.  Column 0 is tested
+    before the loop and the later even columns in blocks of `_SETTLE_EVERY`
+    (`_settle`), so a table stops at most 2 x _SETTLE_EVERY columns after
+    its last prefix settles.
     """
     n = lengths.ravel()
     q = len(n)
@@ -324,7 +364,18 @@ def _epsilon_table(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
     d = np.empty(size - 1, dtype=complex)
     mask, zero = np.empty((2, size - 1), dtype=bool)
     with np.errstate(all="ignore"):
+        # the prefixes a later column can still change: a residual of exactly
+        # 0, or a NaN one of the last partial sum, is never beaten (a prefix
+        # of fewer than 3 sums reads no later candidate either way)
+        live = np.abs(picked[0, :q] - picked[0, q:]) > 0
+        # prefix i reads the columns k <= n_i - 1
+        stop = int(n[live].max(initial=1)) - 1
+        # the candidate pairs still to compare: in reach, of a live prefix
+        open_pairs = (np.arange(0, width, 2)[:, None] < n - 1) & live
+        built = checked = 1
         for k in range(1, width):
+            if k > stop:
+                break
             (_, prev2_hi, _), (_, prev_hi, prev_lo), (cur, _, cur_lo) = cols
             np.subtract(prev_hi, prev_lo, out=d)
             np.reciprocal(d, out=cur_lo)
@@ -335,12 +386,18 @@ def _epsilon_table(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
             np.less_equal(mask, zero, out=mask)
             np.copyto(cur_lo, _SENTINEL, where=mask)
             if k % 2 == 0:
-                np.take(cur, ends - k, mode="clip", out=picked[k // 2])
+                np.take(cur, ends - k, mode="clip", out=picked[built])
+                built += 1
+                if built - checked == _SETTLE_EVERY:
+                    if _settle(picked, checked, built, live, open_pairs):
+                        stop = int(n[live].max(initial=1)) - 1
+                    checked = built
             cols = cols[1:] + cols[:1]
 
+        picked = picked[:built]
         reach = np.concatenate([n, n - 1])
         # hypot is NaN or infinite unless both parts are finite
-        usable = (np.arange(0, width, 2)[:, None] < reach) & (np.hypot(picked.real, picked.imag) < _USABLE)
+        usable = (np.arange(0, 2 * built, 2)[:, None] < reach) & (np.hypot(picked.real, picked.imag) < _USABLE)
         usable[0] = reach > 0  # the partial sums count whatever they hold
         last, ok, has_pair = picked[:, :q], usable[:, :q], usable[:, q:]
         # an entry without a left neighbour is measured against the last
@@ -356,6 +413,25 @@ def _epsilon_table(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
         key[0] = resid[0]
         pick = (np.argmin(key, axis=0), np.arange(q))
     return np.where(n >= 1, last[pick], 0j).reshape(lengths.shape), key[pick].reshape(lengths.shape)
+
+
+def _settle(picked: np.ndarray, lo: int, hi: int, live: np.ndarray, open_pairs: np.ndarray) -> bool:
+    """Retire the prefixes that even columns lo .. hi-1 of `picked` settle; did any settle?
+
+    A usable candidate equal to its left neighbour has residual exactly 0,
+    which no later candidate beats.  One comparison over the block's open
+    pairs finds the equal ones, and only those are tested for usability; a
+    settled prefix leaves `live` and `open_pairs`.
+    """
+    q = len(live)
+    hits = (picked[lo:hi, :q] == picked[lo:hi, q:]) & open_pairs[lo:hi]
+    if not hits.any():
+        return False
+    c, i = hits.nonzero()
+    i = i[np.abs(picked[lo + c, i]) < _USABLE]
+    live[i] = False
+    open_pairs[:, i] = False
+    return len(i) > 0
 
 
 @dataclass(frozen=True)

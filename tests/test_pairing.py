@@ -16,6 +16,7 @@ from fockpair.algebra import basis_size, symmetric_power_matrix
 from fockpair.pairing import (
     _SCALAR_ENTRIES,
     _SCALAR_ROW_COST,
+    _SETTLE_EVERY,
     _epsilon_scalar,
     _epsilon_table,
     _pattern_blocks,
@@ -513,6 +514,24 @@ def _fuzz_sums(rng, i, longest=48):
     return sums
 
 
+def _settling_rows(width):
+    """Partial sums whose epsilon table settles early, by name, and one that never settles."""
+    n = np.arange(width)
+    never = np.cumsum(np.random.default_rng(1956).standard_normal(width) * 0.97**n) + 0j
+    rows = {
+        "constant": np.full(width, 3.25 + 0j),  # residual 0 at column 0
+        "alternating": np.cumsum((-1.0) ** n) + 0j,  # 1/(1+x): column 2
+        "alternating_linear": np.cumsum((-1.0) ** n * (n + 1.0)) + 0j,  # 1/(1+x)^2: column 34
+    }
+    # a NaN residual at column 0, for the full window only
+    for name, tail in (("inf_pair", [np.inf, np.inf]), ("nan_last", [1.0, np.nan]),
+                       ("inf_part_pair", [complex(np.inf, 1.0), complex(np.inf, 2.0)])):
+        rows[name] = never.copy()
+        rows[name][-2:] = tail
+    rows["never"] = never
+    return rows
+
+
 def _assert_prefixes(kernel, block, lengths, want, where):
     values, resids = kernel(block, np.array(lengths))
     for row, prefixes in enumerate(lengths):
@@ -565,6 +584,54 @@ def test_wynn_epsilon_matches_scalar_tableau():
             for kernel in (wynn_epsilon, _epsilon_scalar, _epsilon_table):
                 _assert_prefixes(kernel, block, lengths, lambda row, p: ref(rows[row], p), (i, rows))
     assert checked >= 1000
+
+    # tables that stop early, alone and in a block with a row that never
+    # settles, against the full-width reference on every prefix
+    pool = _settling_rows(96)
+    refs = {(name, p): _scalar_wynn(sums[:p]) for name, sums in pool.items() for p in (0, 1, 2, 3, 48, 72, 96)}
+    for name in pool:
+        for rows in ([name], [name, "never"], ["never", name, name]):
+            block = np.array([pool[r] for r in rows])
+            lengths = [[0, 1, 2, 3, 48, 72, 96]] * len(rows)
+            for kernel in (wynn_epsilon, _epsilon_scalar, _epsilon_table):
+                _assert_prefixes(kernel, block, lengths, lambda row, p: refs[rows[row], p], rows)
+
+
+def test_epsilon_tables_stop_once_every_prefix_settles(monkeypatch):
+    # columns past column 0 that each kernel builds: the numpy table calls
+    # np.reciprocal once per column, the scalar tableau zip once per column
+    built = {}
+
+    def counting(kernel, fn):
+        def spy(*args, **kwargs):
+            built[kernel] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(np, "reciprocal", counting("table", np.reciprocal))
+    monkeypatch.setattr(pairing, "zip", counting("scalar", zip), raising=False)
+
+    def columns(*rows):
+        block, lengths = np.array(rows), np.array([[200, 150]] * len(rows))
+        built.update(scalar=0, table=0)
+        _epsilon_scalar(block, lengths)
+        _epsilon_table(block, lengths)
+        return built["scalar"], built["table"]
+
+    pool = _settling_rows(200)
+    # the scalar tableau looks after every even column, the numpy table
+    # every _SETTLE_EVERY even columns
+    settle, table = columns(pool["alternating_linear"])
+    assert 30 <= settle < table <= settle + 2 * _SETTLE_EVERY
+    assert columns(pool["alternating"]) == (2, 2 * _SETTLE_EVERY)
+    assert columns(pool["constant"]) == (0, 0)
+    # the full window settles at column 0 (a NaN residual), the 3/4 window
+    # never: the table ends at the last column that window reads
+    assert columns(pool["inf_pair"]) == (149, 149)
+    # one row that never settles keeps the numpy block at full width
+    assert columns(pool["never"]) == (199, 199)
+    assert columns(pool["alternating_linear"], pool["never"]) == (settle + 199, 199)
+    assert columns(pool["never"], pool["constant"], pool["alternating"]) == (199 + 0 + 2, 199)
 
 
 def test_epsilon_kernels_agree_where_the_modulus_overflows():
