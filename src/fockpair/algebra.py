@@ -204,10 +204,11 @@ class GradedElement:
 
     Two elements are equal when dim, max_degree, truncated, the stored
     degrees and every stored component agree; elements are immutable and not
-    hashable.
+    hashable.  They support weak references, through which the pairings
+    remember the last pair they evaluated without keeping it alive.
     """
 
-    __slots__ = ("_dim", "_max_degree", "_truncated", "_layout", "_buf", "_nnz")
+    __slots__ = ("_dim", "_max_degree", "_truncated", "_layout", "_buf", "_nnz", "__weakref__")
 
     def __init__(self, dim: int, components=None, max_degree: int = 0, truncated: bool = False):
         if dim < 1:

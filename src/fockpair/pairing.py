@@ -47,7 +47,14 @@ t (one row for the plain and scaled pairings, the whole grid for the Abel
 fallback), split into blocks of rows that share a nonzero pattern.  `_rules`
 applies every rule above to one block as array work, with one epsilon call
 for the rows the earlier rules leave open; `_report` turns an outcome into
-the report.  The epsilon call builds a scalar tableau when the table is small
+the report.  Consecutive pairings of one pair share its term vector and its
+plain outcome: a one-entry memo (`_pair_data`), keyed by the identity of phi
+and psi through weak references and by the config's value, keeps the last
+pair's read-only terms, its finite flag and, once something asks for it, its
+plain outcome, so `pairing_1`, `pairing_t` and `abel_pairing` on one pair
+call `degree_terms` once and run the plain rules once.  Elements are
+immutable, so identity stands for content; the weak references keep no
+series alive.  The epsilon call builds a scalar tableau when the table is small
 and a batched numpy table of complex columns otherwise, with np.reciprocal in
 place of CPython's division; both give the same bits (`_epsilon_table`).
 Both stop building columns once every prefix they evaluate is settled: its
@@ -56,12 +63,14 @@ neighbour, as on rational generating functions and partial sums that have
 stopped changing) or is the NaN of column 0.  A candidate replaces the best
 only with a strictly smaller residual, and a NaN at column 0 wins outright,
 so no later column can change a settled prefix and the bits are those of the
-full table.
+full table.  Only even columns hold candidates, so neither builds a column
+past the last even one a live prefix reads.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -259,7 +268,7 @@ def _tableau_row(row: list[complex], prefixes: list[int]) -> list[tuple[complex,
     candidate it accepted while the even columns go by.  A prefix whose
     residual is exactly 0, or NaN at column 0, is settled and leaves the
     active ones after the column that settles it; the tableau ends at the
-    last column an active prefix reads.
+    last even column an active prefix reads.
     """
     width = max(prefixes, default=0)
     # [value, residual, last accepted value, prefix length]
@@ -274,9 +283,9 @@ def _tableau_row(row: list[complex], prefixes: list[int]) -> list[tuple[complex,
     # the prefixes a later column can still change: a residual of exactly 0,
     # or a NaN one of the last partial sum, is never beaten
     active = [st for st in states if st[1] > 0]
-    # prefix p reads the columns k <= p - 1; the tableau ends at the last
-    # one an active prefix reads
-    stop = max([st[3] for st in active], default=1) - 1
+    # prefix p reads the even columns k <= p - 1; the tableau ends at the
+    # last one an active prefix reads
+    stop = (max([st[3] for st in active], default=1) - 1) // 2 * 2
     # the recurrence starts from the sums + 0j, which holds no negative zero
     prev2, prev = [0j] * width, [x + 0j for x in row[:width]]
     for k in range(1, width):
@@ -305,7 +314,7 @@ def _tableau_row(row: list[complex], prefixes: list[int]) -> list[tuple[complex,
                     st[2] = v
             if settled:
                 active = [st for st in active if st[1] > 0]
-                stop = max([st[3] for st in active], default=1) - 1
+                stop = (max([st[3] for st in active], default=1) - 1) // 2 * 2
         prev2, prev = prev, cur
     return [(v, r) for v, r, _, _ in states]
 
@@ -334,7 +343,7 @@ def _epsilon_table(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
     when both addends are.  |z| is hypot(re, im), and the minimum keeps the
     first of equal residuals and never moves off a NaN first residual.
 
-    The table ends at the last column a live prefix reads.  A prefix dies
+    The table ends at the last even column a live prefix reads.  A prefix dies
     when it settles: its column-0 residual is 0 or NaN, or a usable
     candidate equals its usable left neighbour (residual exactly 0).  No
     later candidate can then win, so the selection below, run over the
@@ -368,8 +377,8 @@ def _epsilon_table(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
         # 0, or a NaN one of the last partial sum, is never beaten (a prefix
         # of fewer than 3 sums reads no later candidate either way)
         live = np.abs(picked[0, :q] - picked[0, q:]) > 0
-        # prefix i reads the columns k <= n_i - 1
-        stop = int(n[live].max(initial=1)) - 1
+        # prefix i reads the even columns k <= n_i - 1
+        stop = (int(n[live].max(initial=1)) - 1) // 2 * 2
         # the candidate pairs still to compare: in reach, of a live prefix
         open_pairs = (np.arange(0, width, 2)[:, None] < n - 1) & live
         built = checked = 1
@@ -390,7 +399,7 @@ def _epsilon_table(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
                 built += 1
                 if built - checked == _SETTLE_EVERY:
                     if _settle(picked, checked, built, live, open_pairs):
-                        stop = int(n[live].max(initial=1)) - 1
+                        stop = (int(n[live].max(initial=1)) - 1) // 2 * 2
                     checked = built
             cols = cols[1:] + cols[:1]
 
@@ -572,10 +581,50 @@ def _report(out: _SeriesOutcome, method: str, **fields) -> PairingReport:
     )
 
 
+class _PairData:
+    """One pair's term vector, its finite flag and, once asked for, its plain outcome.
+
+    The pair is held through weak references, so the memo never keeps a
+    series alive; the element identities and the config's value are the key.
+    """
+
+    __slots__ = ("_phi", "_psi", "cfg", "terms", "finite", "_plain")
+
+    def __init__(self, phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig):
+        terms, finite = degree_terms(phi, psi, cfg.max_degree)
+        terms.setflags(write=False)
+        self._phi, self._psi = weakref.ref(phi), weakref.ref(psi)
+        self.cfg, self.terms, self.finite = cfg, terms, finite
+        self._plain = None
+
+    def holds(self, phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig) -> bool:
+        # a dead reference returns None, so a new element at a reused id misses
+        return self._phi() is phi and self._psi() is psi and self.cfg == cfg
+
+    def plain(self) -> _SeriesOutcome:
+        if self._plain is None:
+            self._plain = _series(self.terms, self.finite, self.cfg)[0]
+        return self._plain
+
+
+# the last pair evaluated: pairing_1, pairing_t and abel_pairing on one pair
+# build its terms once, and the plain rules run once for it
+_last_pair: _PairData | None = None
+
+
+def _pair_data(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig) -> _PairData:
+    global _last_pair
+    # read once: a caller keeps the entry it read or built, so a thread that
+    # replaces the memo meanwhile costs a rebuild, never a wrong pair's data
+    data = _last_pair
+    if data is None or not data.holds(phi, psi, cfg):
+        data = _last_pair = _PairData(phi, psi, cfg)
+    return data
+
+
 def pairing_1(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig | None = None) -> PairingReport:
     """Plain degreewise series pairing sum_d <phi_d | psi_d>."""
-    cfg = cfg or RegularizationConfig()
-    return _report(_series(*degree_terms(phi, psi, cfg.max_degree), cfg)[0], "series_1")
+    return _report(_pair_data(phi, psi, cfg or RegularizationConfig()).plain(), "series_1")
 
 
 def pairing_t(phi: GradedElement, psi: GradedElement, t: float, cfg: RegularizationConfig | None = None) -> PairingReport:
@@ -583,7 +632,8 @@ def pairing_t(phi: GradedElement, psi: GradedElement, t: float, cfg: Regularizat
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly between 0 and 1")
     cfg = cfg or RegularizationConfig()
-    return _report(_series(*degree_terms(phi, psi, cfg.max_degree), cfg, [t])[0], "scaled_t", t_grid=(t,))
+    data = _pair_data(phi, psi, cfg)
+    return _report(_series(data.terms, data.finite, cfg, [t])[0], "scaled_t", t_grid=(t,))
 
 
 def _log_growth(terms: np.ndarray, fit: np.ndarray) -> float:
@@ -601,8 +651,8 @@ def _log_growth(terms: np.ndarray, fit: np.ndarray) -> float:
     return float(np.linalg.lstsq(design, y, rcond=None)[0][1])
 
 
-def _abel_off_grid(terms: np.ndarray, finite: bool, cfg: RegularizationConfig) -> _SeriesOutcome | None:
-    """The Abel limit from the plain terms alone, or None when the grid must decide.
+def _abel_off_grid(terms: np.ndarray, plain: _SeriesOutcome, cfg: RegularizationConfig) -> _SeriesOutcome | None:
+    """The Abel limit from the plain terms and their plain outcome, or None when the grid must decide.
 
     In order: a convergent plain series sums to its Abel limit (Abel's
     theorem); the epsilon continuation of the plain partial sums, when the
@@ -612,7 +662,6 @@ def _abel_off_grid(terms: np.ndarray, finite: bool, cfg: RegularizationConfig) -
     their second half); epsilon sees the partial sums of all of them, and
     is tried only when the fit allows a radius of at least one.
     """
-    plain = _series(terms, finite, cfg)[0]
     if plain.verdict == "converged":
         return replace(plain, rule="plain_sum")
     # only these two leave a window whose epsilon limit was never tried
@@ -647,8 +696,9 @@ def abel_pairing(phi: GradedElement, psi: GradedElement, cfg: RegularizationConf
     extrapolating them would produce an antilimit, not an Abel limit.
     """
     cfg = cfg or RegularizationConfig()
-    terms, finite = degree_terms(phi, psi, cfg.max_degree)
-    out = _abel_off_grid(terms, finite, cfg)
+    data = _pair_data(phi, psi, cfg)
+    terms = data.terms
+    out = _abel_off_grid(terms, data.plain(), cfg)
     if out is not None:
         # a converged route's tail is its own residual
         return _report(out, "abel", extrapolation_residual=out.tail if out.verdict == "converged" else math.nan)
@@ -657,7 +707,7 @@ def abel_pairing(phi: GradedElement, psi: GradedElement, cfg: RegularizationConf
     used = 0
     worst_tail = 0.0
     failed = failed_t = None
-    for t, out in zip(grid, _series(terms, finite, cfg, grid)):
+    for t, out in zip(grid, _series(terms, data.finite, cfg, grid)):
         used = max(used, out.used_degree)
         if out.verdict != "converged":
             failed = replace(out, rule="grid") if out.verdict == "divergent" else out

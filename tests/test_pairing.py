@@ -1,9 +1,12 @@
 """Degreewise pairings: exact series, t-scaling, Abel limits, invariances."""
 
+import gc
 import importlib
 import json
 import math
 import tracemalloc
+import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -626,12 +629,13 @@ def test_epsilon_tables_stop_once_every_prefix_settles(monkeypatch):
     assert columns(pool["alternating"]) == (2, 2 * _SETTLE_EVERY)
     assert columns(pool["constant"]) == (0, 0)
     # the full window settles at column 0 (a NaN residual), the 3/4 window
-    # never: the table ends at the last column that window reads
-    assert columns(pool["inf_pair"]) == (149, 149)
-    # one row that never settles keeps the numpy block at full width
-    assert columns(pool["never"]) == (199, 199)
-    assert columns(pool["alternating_linear"], pool["never"]) == (settle + 199, 199)
-    assert columns(pool["never"], pool["constant"], pool["alternating"]) == (199 + 0 + 2, 199)
+    # never: the table ends at the last even column that window reads
+    assert columns(pool["inf_pair"]) == (148, 148)
+    # one row that never settles keeps the numpy block at full width, up to
+    # its last even column
+    assert columns(pool["never"]) == (198, 198)
+    assert columns(pool["alternating_linear"], pool["never"]) == (settle + 198, 198)
+    assert columns(pool["never"], pool["constant"], pool["alternating"]) == (198 + 0 + 2, 198)
 
 
 def test_epsilon_kernels_agree_where_the_modulus_overflows():
@@ -723,3 +727,108 @@ def test_report_fields_round_out():
     assert (rep_a.verdict, rep_a.rule, rep_a.t_grid, rep_a.failed_t) == ("converged", "plain_sum", (), None)
     assert abs(rep_a.value - 4.0 / 3.0) <= cfg.tolerance
     assert rep_a.extrapolation_residual <= cfg.tolerance
+
+
+# ---------------------------------------------------------------- the last pair
+
+
+def _memo_pairs():
+    """(phi, psi, cfg, t) covering the plain and Abel rules, a polynomial and a Gaussian pair."""
+    cfg = fp.RegularizationConfig()
+    n = cfg.max_degree + 1
+    d = np.arange(n)
+    ones = fp.sequence_element(np.ones(n))
+    rng = np.random.default_rng(5)
+    seqs = [0.5**d, (-1.0) ** d, (-1.0) ** d * (d + 1), np.ones(n), 1.05**d, (d + 1) * 0.999**d,
+            rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n), 1.0 + 0.5j * (-1.0) ** d, d[:7] * 0.3]
+    pairs = [(ones, fp.sequence_element(s), cfg, 0.7) for s in seqs]
+    poly = random_element(rng, 2, 5, truncated=False)
+    pairs.append((poly, random_element(rng, 2, 5, truncated=False), cfg, 0.4))
+    g = fp.gaussian_series(fp.GaussianSeed.from_matrix(np.diag([0.5, 0.3])), cap=40)
+    h = fp.gaussian_series(fp.GaussianSeed.from_matrix(np.array([[0.2, 0.4j], [0.4j, -0.3]])), cap=40)
+    pairs += [(g, g, cfg, 0.9), (g, h, fp.RegularizationConfig(max_degree=30, tolerance=1e-6), 0.9)]
+    return pairs
+
+
+def _cold(fn, *args):
+    pairing._last_pair = None
+    return fn(*args)
+
+
+def test_pairings_of_one_pair_build_its_terms_once(monkeypatch):
+    terms_of, series = pairing.degree_terms, pairing._series
+    calls, plain_passes = [], []
+    monkeypatch.setattr(pairing, "degree_terms", lambda *args: calls.append(args) or terms_of(*args))
+    monkeypatch.setattr(pairing, "_series", lambda terms, finite, cfg, ts=None:
+                        (ts is None and plain_passes.append(cfg)) or series(terms, finite, cfg, ts))
+    monkeypatch.setattr(pairing, "_last_pair", None)
+    cfg = fp.RegularizationConfig(max_degree=60)
+    n = np.arange(61)
+    phi, psi = fp.sequence_element(np.ones(61)), fp.sequence_element((-1.0) ** n)
+
+    def all_three(a, b, c):
+        fp.pairing_1(a, b, c)
+        fp.pairing_t(a, b, 0.5, c)
+        fp.abel_pairing(a, b, c)
+
+    all_three(phi, psi, cfg)
+    assert (len(calls), len(plain_passes)) == (1, 1)
+    # an equal config is the same key
+    all_three(phi, psi, fp.RegularizationConfig(max_degree=60))
+    assert (len(calls), len(plain_passes)) == (1, 1)
+    other = fp.sequence_element(0.5**n)
+    twin = fp.sequence_element(np.ones(61))
+    assert twin == phi and twin is not phi
+    misses = [(phi, other, cfg), (phi, other, fp.RegularizationConfig(max_degree=50)),
+              (phi, other, fp.RegularizationConfig(max_degree=50, tolerance=1e-6)), (twin, other, cfg)]
+    for k, (a, b, c) in enumerate(misses, start=2):
+        fp.pairing_t(a, b, 0.5, c)
+        assert (len(calls), len(plain_passes)) == (k, k - 1), k
+        all_three(a, b, c)
+        assert (len(calls), len(plain_passes)) == (k, k), k
+        assert calls[-1] == (a, b, c.max_degree)
+
+
+def test_memoized_reports_equal_cold_ones():
+    def same(warm, cold):
+        return all(repr(getattr(warm, f.name)) == repr(getattr(cold, f.name)) for f in fields(fp.PairingReport))
+
+    for i, (phi, psi, cfg, t) in enumerate(_memo_pairs()):
+        pairing._last_pair = None
+        warm = [fp.pairing_1(phi, psi, cfg), fp.pairing_t(phi, psi, t, cfg), fp.abel_pairing(phi, psi, cfg),
+                fp.pairing_1(phi, psi, cfg)]
+        cold = [_cold(fp.pairing_1, phi, psi, cfg), _cold(fp.pairing_t, phi, psi, t, cfg),
+                _cold(fp.abel_pairing, phi, psi, cfg), _cold(fp.pairing_1, phi, psi, cfg)]
+        assert all(same(w, c) for w, c in zip(warm, cold)), i
+        # the Abel pairing first, so that it computes the plain outcome
+        pairing._last_pair = None
+        assert same(fp.abel_pairing(phi, psi, cfg), cold[2]) and same(fp.pairing_1(phi, psi, cfg), cold[0]), i
+
+
+def test_last_pair_keeps_no_element_alive():
+    n = np.arange(201)
+    phi, psi = fp.sequence_element(np.ones(201)), fp.sequence_element((-1.0) ** n)
+    fp.abel_pairing(phi, psi)
+    refs = weakref.ref(phi), weakref.ref(psi)
+    del phi, psi
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    # a later pair, whatever ids it gets, builds its own terms
+    phi, psi = fp.sequence_element(np.ones(201)), fp.sequence_element(0.5**n)
+    assert fp.pairing_1(phi, psi).value == _cold(fp.pairing_1, phi, psi).value
+
+
+def test_last_pair_terms_are_read_only():
+    n = np.arange(31)
+    phi, psi = fp.sequence_element(np.ones(31)), fp.sequence_element(0.5**n)
+    cfg = fp.RegularizationConfig(max_degree=30)
+    fp.pairing_1(phi, psi, cfg)
+    memo = pairing._last_pair.terms
+    assert not memo.flags.writeable
+    with pytest.raises(ValueError):
+        memo[0] = 1.0
+    fresh, _ = degree_terms(phi, psi, cfg.max_degree)
+    assert fresh.flags.writeable and not np.shares_memory(fresh, memo)
+    assert np.array_equal(fresh.view(np.uint64), memo.view(np.uint64))
+    fresh[0] = 7.0
+    assert fp.pairing_1(phi, psi, cfg).value == _cold(fp.pairing_1, phi, psi, cfg).value
