@@ -125,7 +125,7 @@ def _seed_from_file(path: str) -> GaussianSeed:
 
 def _cmd_pair(args):
     if args.method == "abel" and args.t is not None:
-        raise CliInputError("--t does not apply to --method abel, which takes its own grid t -> 1")
+        raise CliInputError("--t does not apply to --method abel, which takes the limit t -> 1 itself")
     cfg = _config_from_args(args)
     sx = _seed_from_file(args.x)
     sy = _seed_from_file(args.y)

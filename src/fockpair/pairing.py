@@ -17,7 +17,7 @@ brackets):
     below tolerance * (1 - rho)) converges with tail |last| * rho / (1-rho)
     [geometric_tail];
   * fewer than 8 nonzero terms leave the rest undecided [window_too_short];
-  * epsilon sees only rows whose largest |term| in the last quarter of the
+  * epsilon sees only terms whose largest |term| in the last quarter of the
     epsilon window (the last 220 nonzero terms) is below 0.9 x the largest
     in the quarter before; on terms that do not shrink it would return the
     analytic continuation, not a sum [terms_not_shrinking];
@@ -26,45 +26,47 @@ brackets):
     residual and a shortened-window cross-check both sit below tolerance
     [epsilon, else epsilon_residual].
 
-The Abel pairing works from the plain terms first and tries, in order:
+The Abel pairing works from the plain terms alone and tries four routes, in
+order.  A fit log|a_d| = alpha + beta d + gamma log(d+1) over the second
+half of the nonzero terms places the radius of convergence at exp(-beta).
   1. the plain series' rules: a convergent series sums to its Abel limit
      (Abel's theorem) [plain_sum];
-  2. when the plain terms do not shrink or diverge, and a fit
-     log|a_d| = alpha + beta d + gamma log(d+1) over the second half of the
-     nonzero terms gives beta <= 1e-3, a radius of convergence of at least
-     one: the epsilon value of the plain partial sums, full and 3/4 window
-     within tolerance [continuation];
-  3. terms of one phase that do not decay: the same fit gives beta >= 0 and
-     no magnitude in its range falls below the one before; a pole at s = 1
-     [pole];
-  4. only if all of these decline, the grid t_k = 1 - 2^-k: the rules above
-     on each scaled row and the epsilon algorithm across the grid values;
-     the first row that does not converge decides [grid when it diverges,
-     else its reason; grid or epsilon_residual when every row converges].
+  2. when the plain terms do not shrink or diverge, and the fit gives
+     beta <= 1e-3, a radius of at least one: the epsilon value of the plain
+     partial sums, full and 3/4 window within tolerance [continuation];
+  3. a fit of at least 10 terms whose beta exceeds 0.01 by three standard
+     errors, on terms whose largest magnitude in the second half of the fit
+     exceeds the largest in the first: a radius below one, so the scaled
+     series has no sum for t near 1 [radius_below_one];
+  4. terms of one phase that do not decay: the fit gives beta >= 0 and no
+     magnitude in its range falls below the one before; a pole at s = 1
+     [pole].
+When all four decline, the Abel pairing is undecided for the plain series'
+reason; terms that the plain rules call divergent do not shrink either
+[terms_not_shrinking].
 
-The three pairings share one path, `_series`: a term matrix with one row per
-t (one row for the plain and scaled pairings, the whole grid for the Abel
-fallback), split into blocks of rows that share a nonzero pattern.  `_rules`
-applies every rule above to one block as array work, with one epsilon call
-for the rows the earlier rules leave open; `_report` turns an outcome into
-the report.  Consecutive pairings of one pair share its term vector and its
-plain outcome: a one-entry memo (`_pair_data`), keyed by the identity of phi
-and psi through weak references and by the config's value, keeps the last
-pair's read-only terms, its finite flag and, once something asks for it, its
-plain outcome, so `pairing_1`, `pairing_t` and `abel_pairing` on one pair
-call `degree_terms` once and run the plain rules once.  Elements are
-immutable, so identity stands for content; the weak references keep no
-series alive.  The epsilon call builds a scalar tableau when the table is small
-and a batched numpy table of complex columns otherwise, with np.reciprocal in
-place of CPython's division; both give the same bits (`_epsilon_table`).
-Both stop building columns once every prefix they evaluate is settled: its
-residual is exactly 0 (an even-column candidate equals its usable left
-neighbour, as on rational generating functions and partial sums that have
-stopped changing) or is the NaN of column 0.  A candidate replaces the best
-only with a strictly smaller residual, and a NaN at column 0 wins outright,
-so no later column can change a settled prefix and the bits are those of the
-full table.  Only even columns hold candidates, so neither builds a column
-past the last even one a live prefix reads.
+The pairings share one path, `_series`, which applies every rule above to
+one term row: the plain terms, or the terms weighted by t^{2d}.  `_report`
+turns an outcome into the report.  Consecutive pairings of one pair share
+its term vector and its plain outcome: a one-entry memo (`_pair_data`),
+keyed by the identity of phi and psi through weak references and by the
+config's value, keeps the last pair's read-only terms, its finite flag and,
+once something asks for it, its plain outcome, so `pairing_1`, `pairing_t`
+and `abel_pairing` on one pair call `degree_terms` once and run the plain
+rules once.  Elements are immutable, so identity stands for content; the
+weak references keep no series alive.
+
+Every epsilon call reads one row of partial sums and at most two prefixes
+of it, the full and the shortened window, off one scalar tableau in
+CPython's complex arithmetic (`_tableau_row`).  The tableau stops building
+columns once every prefix it evaluates is settled: its residual is exactly
+0 (an even-column candidate equals its usable left neighbour, as on
+rational generating functions and partial sums that have stopped changing)
+or is the NaN of column 0.  A candidate replaces the best only with a
+strictly smaller residual, and a NaN at column 0 wins outright, so no later
+column can change a settled prefix and the bits are those of the full
+tableau.  Only even columns hold candidates, so it builds no column past
+the last even one a live prefix reads.
 """
 
 from __future__ import annotations
@@ -87,41 +89,33 @@ _EPS_TERMS = 220
 _SHRINK = 0.9
 # largest fitted log-growth per degree that still counts as radius >= 1
 _MAX_BETA = 1e-3
+# a radius below one needs a fit of at least _RADIUS_FIT terms whose beta
+# exceeds _RADIUS_BETA by _RADIUS_SIGMAS standard errors; a shorter fit of
+# slowly decaying terms can read a spurious rise
+_RADIUS_FIT = 10
+_RADIUS_BETA = 0.01
+_RADIUS_SIGMAS = 3.0
 # terms whose unit phases differ by at most this share one phase
 _PHASE_TOL = 1e-9
 # a log-growth per degree (or a term ratio's gap to one) this small counts as
 # flat: the magnitudes do not decay
 _FLAT = 1e-9
-# Abel grid t_k = 1 - 2^-k for these k
-_T_GRID_K = range(3, 13)
 _UNITARY_TOL = 1e-10
 _DEMO_POWERS = 31
-# sentinel for epsilon-table entries whose difference vanishes or is not finite
+# sentinel for epsilon-tableau entries whose difference vanishes or is not finite
 _HUGE = 1e300
 _SENTINEL = complex(_HUGE)
 # entries at or above this modulus are never candidates
 _USABLE = _HUGE / 10
-# Epsilon tables with rows x (width + _SCALAR_ROW_COST) <= _SCALAR_ENTRIES
-# take the scalar tableau, which pays per entry (rows x width^2 / 2) and per
-# row; larger ones the numpy table, which pays seven numpy calls per column
-# and a settle check every _SETTLE_EVERY even columns.  Measured on rows that
-# never settle, so that both kernels build every column (2-vCPU x86-64 guest,
-# Python 3.11, numpy 2.4, both kernels alternating on one core, two prefixes
-# per row, best of 60 process-time samples), the two break even at these
-# widths (rows: break-even width / the rule's largest width):
-#   1: 66/64   2: 30/30   3: 18/18   4: 12/13   5: 9/9   6: 7/7   8: 4/4   10: 3/2
-_SCALAR_ENTRIES = 68
-_SCALAR_ROW_COST = 4
-# The numpy table looks for settled prefixes once every this many even
-# columns.  A check costs about half a column; a table that never settles
-# pays 5-10% for them, one that settles stops at most 2 x this many columns
-# after it.
-_SETTLE_EVERY = 8
 
 
 @dataclass(frozen=True)
 class RegularizationConfig:
-    """Knobs for series evaluation and Abel extrapolation."""
+    """Tolerance and horizon of every series evaluation.
+
+    The verdict rules of all three pairings, and every route of the Abel
+    pairing, read the same two values.
+    """
 
     tolerance: float = 1e-8
     max_degree: int = 200
@@ -134,9 +128,6 @@ class RegularizationConfig:
             raise ValueError(f"max_degree must be an integer, got {self.max_degree!r}")
         if self.max_degree < 0:
             raise ValueError(f"max_degree must be >= 0, got {self.max_degree}")
-
-    def t_grid(self) -> list[float]:
-        return [1.0 - 2.0 ** (-k) for k in _T_GRID_K]
 
 
 @dataclass(frozen=True)
@@ -151,9 +142,8 @@ class PairingReport:
     converged: bool
     truncation_degree: int
     tail_estimate: float
-    t_grid: tuple[float, ...] = ()
+    # a converged Abel report's residual from its deciding route, else NaN
     extrapolation_residual: float = math.nan
-    failed_t: float | None = None
 
 
 @dataclass(frozen=True)
@@ -217,7 +207,7 @@ def _conj_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def wynn_epsilon(sums, lengths=None):
+def wynn_epsilon(sums, prefixes=None):
     """Best even-column entry of the epsilon tableau and its residual.
 
     Divisions by vanishing differences are masked with a huge sentinel and
@@ -225,30 +215,21 @@ def wynn_epsilon(sums, lengths=None):
     last-step difference wins, which keeps exactly-summable cases (rational
     generating functions) at residual zero instead of dividing 0 by 0.
 
-    A 1-D `sums` gives (value, residual) for the whole sequence.  A 2-D
-    `sums` holds one sequence per row and `lengths` (rows x k integers) the
-    prefixes to evaluate on each row; the result is then a pair of complex
-    and float arrays shaped like `lengths`.  Entry (k, j) of the tableau
-    reads only s_j ... s_{j+k}, so every prefix of a row is read off the one
-    table that row builds.
-
-    A small table (few rows, short ones) is built as a scalar tableau, a
-    larger one as a numpy table, by the rule above `_SCALAR_ENTRIES`; both
-    give the same bits.  Either stops once every prefix is settled (residual
-    exactly 0, or NaN at column 0), which no later column can change.
+    `sums` is one sequence of partial sums, and the result is (value,
+    residual) for the whole of it.  With `prefixes`, a list of prefix
+    lengths, the result is a list of one (value, residual) per prefix.
+    Entry (k, j) of the tableau reads only s_j ... s_{j+k}, so every prefix
+    is read off the one tableau the longest of them builds.
     """
     s = np.asarray(sums, dtype=complex)
-    if s.ndim == 1:
-        values, resids = wynn_epsilon(s[None, :], np.array([[len(s)]]))
-        return complex(values[0, 0]), float(resids[0, 0])
-    lengths = np.asarray(lengths)
-    if (s.ndim != 2 or lengths.ndim != 2 or lengths.shape[0] != s.shape[0]
-            or not np.issubdtype(lengths.dtype, np.integer)
-            or (lengths.size and not 0 <= lengths.min() <= lengths.max() <= s.shape[1])):
-        raise ValueError("a block of sums needs rows x k integer prefix lengths within its rows")
-    if s.shape[0] * (lengths.max(initial=0) + _SCALAR_ROW_COST) <= _SCALAR_ENTRIES:
-        return _epsilon_scalar(s, lengths)
-    return _epsilon_table(s, lengths)
+    if s.ndim != 1:
+        raise ValueError("wynn_epsilon takes one sequence of partial sums")
+    if prefixes is None:
+        return _tableau_row(s.tolist(), [len(s)])[0]
+    if any(not isinstance(p, (int, np.integer)) or not 0 <= p <= len(s) for p in prefixes):
+        raise ValueError("prefix lengths must be integers within the sums")
+    prefixes = [int(p) for p in prefixes]
+    return _tableau_row(s[:max(prefixes, default=0)].tolist(), prefixes)
 
 
 def _modulus(z: complex) -> float:
@@ -262,10 +243,13 @@ def _modulus(z: complex) -> float:
 def _tableau_row(row: list[complex], prefixes: list[int]) -> list[tuple[complex, float]]:
     """(value, residual) of each prefix of one sequence, off one scalar tableau.
 
-    The entries follow the recurrence of `_epsilon_table` in CPython's
-    complex arithmetic, which that kernel reproduces, so both give the same
-    bits.  Each prefix keeps its best candidate, its residual and the last
-    candidate it accepted while the even columns go by.  A prefix whose
+    Column k is e_k(j) = e_(k-2)(j+1) + 1 / (e_(k-1)(j+1) - e_(k-1)(j)),
+    from e_(-1) = 0 and e_0 = the partial sums + 0j, in CPython's complex
+    arithmetic; a zero or non-finite difference gives the sentinel.  The
+    candidates of a prefix are its last partial sum and the last entry of
+    each even column it reaches, each measured by its gap to its usable left
+    neighbour.  Each prefix keeps its best candidate, its residual and the
+    last candidate it accepted while the even columns go by.  A prefix whose
     residual is exactly 0, or NaN at column 0, is settled and leaves the
     active ones after the column that settles it; the tableau ends at the
     last even column an active prefix reads.
@@ -319,130 +303,6 @@ def _tableau_row(row: list[complex], prefixes: list[int]) -> list[tuple[complex,
     return [(v, r) for v, r, _, _ in states]
 
 
-def _epsilon_scalar(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_epsilon_table` by one scalar tableau per row."""
-    got = [pair for r, prefixes in enumerate(lengths.tolist())
-           for pair in _tableau_row(s[r, :max(prefixes, default=0)].tolist(), prefixes)]
-    values = np.array([v for v, _ in got], dtype=complex).reshape(lengths.shape)
-    resids = np.array([r for _, r in got], dtype=float).reshape(lengths.shape)
-    return values, resids
-
-
-def _epsilon_table(s: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-by-column epsilon tableau of a block of partial sums.
-
-    The rows are laid end to end and every column is computed over the
-    whole flat line as one complex array, so a column costs seven numpy
-    calls on preallocated buffers.  Entries whose window crosses into the
-    next row are never read.  The arithmetic is CPython's complex
-    arithmetic, so a block gives bit for bit what a scalar tableau gives on
-    each prefix: np.reciprocal(d) is CPython's (1+0j)/d (Smith's method,
-    branching on the larger part of d) except for the sign of a zero part.
-    That sign cannot reach an entry, because the recurrence starts from the
-    sums + 0j: no column then holds a negative zero, and a sum is -0 only
-    when both addends are.  |z| is hypot(re, im), and the minimum keeps the
-    first of equal residuals and never moves off a NaN first residual.
-
-    The table ends at the last even column a live prefix reads.  A prefix dies
-    when it settles: its column-0 residual is 0 or NaN, or a usable
-    candidate equals its usable left neighbour (residual exactly 0).  No
-    later candidate can then win, so the selection below, run over the
-    columns built, gives the bits of the full table.  Column 0 is tested
-    before the loop and the later even columns in blocks of `_SETTLE_EVERY`
-    (`_settle`), so a table stops at most 2 x _SETTLE_EVERY columns after
-    its last prefix settles.
-    """
-    n = lengths.ravel()
-    q = len(n)
-    width = int(n.max(initial=0))
-    if width == 0:
-        return np.zeros(lengths.shape, dtype=complex), np.full(lengths.shape, math.inf)
-    flat = np.ascontiguousarray(s[:, :width]).ravel()
-    size = len(flat)
-    # Candidates are the last entry of each even column a prefix reaches,
-    # column 0 (the raw partial sums) included; each is measured by its gap
-    # to the entry before it.  Column k holds both k places left of the flat
-    # positions of the prefix's last partial sum and the one before it.
-    ends = np.arange(s.shape[0]).repeat(lengths.shape[1]) * width + n - 1
-    ends = np.concatenate([ends, ends - 1])
-    picked = np.empty(((width + 1) // 2, 2 * q), dtype=complex)
-    np.take(flat, ends, mode="clip", out=picked[0])
-    # three rotating tableau columns, e_(k-2), e_(k-1) and the one being
-    # filled, each with its views shifted by one place
-    cols = [(c, c[1:], c[:-1]) for c in (np.zeros(size, dtype=complex), flat + 0j, np.zeros(size, dtype=complex))]
-    d = np.empty(size - 1, dtype=complex)
-    mask, zero = np.empty((2, size - 1), dtype=bool)
-    with np.errstate(all="ignore"):
-        # the prefixes a later column can still change: a residual of exactly
-        # 0, or a NaN one of the last partial sum, is never beaten (a prefix
-        # of fewer than 3 sums reads no later candidate either way)
-        live = np.abs(picked[0, :q] - picked[0, q:]) > 0
-        # prefix i reads the even columns k <= n_i - 1
-        stop = (int(n[live].max(initial=1)) - 1) // 2 * 2
-        # the candidate pairs still to compare: in reach, of a live prefix
-        open_pairs = (np.arange(0, width, 2)[:, None] < n - 1) & live
-        built = checked = 1
-        for k in range(1, width):
-            if k > stop:
-                break
-            (_, prev2_hi, _), (_, prev_hi, prev_lo), (cur, _, cur_lo) = cols
-            np.subtract(prev_hi, prev_lo, out=d)
-            np.reciprocal(d, out=cur_lo)
-            np.add(prev2_hi, cur_lo, out=cur_lo)
-            # the sentinel where d is zero or not finite (finite <= zero)
-            np.isfinite(d, out=mask)
-            np.equal(d, 0, out=zero)
-            np.less_equal(mask, zero, out=mask)
-            np.copyto(cur_lo, _SENTINEL, where=mask)
-            if k % 2 == 0:
-                np.take(cur, ends - k, mode="clip", out=picked[built])
-                built += 1
-                if built - checked == _SETTLE_EVERY:
-                    if _settle(picked, checked, built, live, open_pairs):
-                        stop = (int(n[live].max(initial=1)) - 1) // 2 * 2
-                    checked = built
-            cols = cols[1:] + cols[:1]
-
-        picked = picked[:built]
-        reach = np.concatenate([n, n - 1])
-        # hypot is NaN or infinite unless both parts are finite
-        usable = (np.arange(0, 2 * built, 2)[:, None] < reach) & (np.hypot(picked.real, picked.imag) < _USABLE)
-        usable[0] = reach > 0  # the partial sums count whatever they hold
-        last, ok, has_pair = picked[:, :q], usable[:, :q], usable[:, q:]
-        # an entry without a left neighbour is measured against the last
-        # candidate accepted before it
-        accepted = np.maximum.accumulate(np.where(ok, np.arange(len(ok))[:, None], 0), axis=0)
-        prior = last[np.concatenate([accepted[:1], accepted[:-1]]), np.arange(q)]
-        gap = last - np.where(has_pair, picked[:, q:], prior)
-        resid = np.hypot(gap.real, gap.imag)
-        resid[0, n < 2] = math.inf
-        # the first of equal residuals wins, and a NaN residual of the last
-        # partial sum wins outright, as np.argmin stops at the first NaN
-        key = np.where(ok & ~np.isnan(resid), resid, math.inf)
-        key[0] = resid[0]
-        pick = (np.argmin(key, axis=0), np.arange(q))
-    return np.where(n >= 1, last[pick], 0j).reshape(lengths.shape), key[pick].reshape(lengths.shape)
-
-
-def _settle(picked: np.ndarray, lo: int, hi: int, live: np.ndarray, open_pairs: np.ndarray) -> bool:
-    """Retire the prefixes that even columns lo .. hi-1 of `picked` settle; did any settle?
-
-    A usable candidate equal to its left neighbour has residual exactly 0,
-    which no later candidate beats.  One comparison over the block's open
-    pairs finds the equal ones, and only those are tested for usability; a
-    settled prefix leaves `live` and `open_pairs`.
-    """
-    q = len(live)
-    hits = (picked[lo:hi, :q] == picked[lo:hi, q:]) & open_pairs[lo:hi]
-    if not hits.any():
-        return False
-    c, i = hits.nonzero()
-    i = i[np.abs(picked[lo + c, i]) < _USABLE]
-    live[i] = False
-    open_pairs[:, i] = False
-    return len(i) > 0
-
-
 @dataclass(frozen=True)
 class _SeriesOutcome:
     value: complex | None
@@ -452,120 +312,89 @@ class _SeriesOutcome:
     rule: str
 
 
-def _shrinking(mags: np.ndarray) -> np.ndarray:
-    """Per row: is the largest |term| of the last quarter below _SHRINK x that of the quarter before?"""
-    q = mags.shape[1] // 4
-    return mags[:, -q:].max(axis=1) < _SHRINK * mags[:, -2 * q:-q].max(axis=1)
+def _intercept(x: np.ndarray, y: np.ndarray) -> float:
+    """Intercept of the least-squares line y = a + b x, in closed form (no LAPACK routine runs).
 
-
-def _epsilon_check(w: np.ndarray) -> list[tuple[complex, float]]:
-    """(value, residual) of the epsilon limit of each row's partial sums.
-
-    The partial sums run over all of a row's terms, and epsilon reads the
-    last _EPS_TERMS of them.  The residual is the larger of the tableau
-    residual and the gap to the value of the shortened (3/4) window; both
-    windows are read off one epsilon call for the whole block.
+    NaN when a y is not finite, as LAPACK's least squares gives it.
     """
-    sums = np.cumsum(w, axis=1)[:, -_EPS_TERMS:]
-    width = sums.shape[1]
-    lengths = np.array([[width, max(8, 3 * width // 4)]] * len(w))
-    values, resids = wynn_epsilon(sums, lengths)
-    return [(v_full, max(r_full, abs(v_full - v_part)))
-            for (v_full, v_part), (r_full, _) in zip(values.tolist(), resids.tolist())]
+    if not np.isfinite(y).all():
+        return math.nan
+    mean = x.mean()
+    xc = x - mean
+    return float(y.mean() - (xc @ y) / (xc @ xc) * mean)
 
 
-def _rules(block: np.ndarray, degrees: np.ndarray, finite: bool, cfg: RegularizationConfig) -> list[_SeriesOutcome]:
-    """Outcome of each weighted row of a block sharing one nonzero pattern.
+def _shrinking(mags: np.ndarray) -> bool:
+    """Is the largest |term| of the last quarter below _SHRINK x that of the quarter before?"""
+    q = len(mags) // 4
+    return bool(mags[-q:].max() < _SHRINK * mags[-2 * q:-q].max())
 
-    Every rule is array work over the whole block.  The rows the rules
-    before epsilon leave open, and whose terms shrink across the epsilon
-    window, share one epsilon call for both the full and the shortened
-    window; a row's total is its own 1-D sum, which keeps its bits.
+
+def _epsilon_check(w: np.ndarray) -> tuple[complex, float]:
+    """(value, residual) of the epsilon limit of the partial sums of the terms w.
+
+    The partial sums run over all the terms, and epsilon reads the last
+    _EPS_TERMS of them.  The residual is the larger of the tableau residual
+    and the gap to the value of the shortened (3/4) window; both windows are
+    read off one epsilon call.
     """
-    nz = block[0].nonzero()[0]
+    sums = np.cumsum(w)[-_EPS_TERMS:]
+    width = len(sums)
+    (value, resid), (part, _) = wynn_epsilon(sums, [width, max(8, 3 * width // 4)])
+    return value, max(resid, abs(value - part))
+
+
+def _series(terms: np.ndarray, finite: bool, cfg: RegularizationConfig, t: float | None = None) -> _SeriesOutcome:
+    """Outcome of the terms weighted by t^{2d}, or of the plain terms if t is None."""
+    # the plain row stays unweighted: a complex product with 1.0 turns an
+    # infinite imaginary part into a NaN real part and can flip a signed zero
+    row = terms if t is None else terms * float(t) ** (2.0 * np.arange(len(terms)))
+    nz = row.nonzero()[0]
     if len(nz) == 0:
         # nothing to sum: the window is exactly zero
-        used = int(degrees[-1]) if len(degrees) else 0
-        return [_SeriesOutcome(0j, "converged", 0.0, used, "finite")] * len(block)
-    w = block[:, nz]
-    used = int(degrees[nz[-1]])
+        return _SeriesOutcome(0j, "converged", 0.0, max(len(row) - 1, 0), "finite")
+    w = row[nz]
+    used = int(nz[-1])
     if finite:
-        return [_SeriesOutcome(complex(np.sum(row)), "converged", 0.0, used, "finite") for row in w]
+        return _SeriesOutcome(complex(np.sum(w)), "converged", 0.0, used, "finite")
 
     tol = cfg.tolerance
     mags = np.abs(w)
-    outcomes: list[_SeriesOutcome | None] = [None] * len(block)
 
     # divergent: persistent non-vanishing terms past the degree threshold
-    tail_sel = degrees[nz] > _DIVERGENCE_DEGREE
-    if np.count_nonzero(tail_sel) >= _DIVERGENCE_WINDOW:
-        pos = tail_sel.nonzero()[0][-_DIVERGENCE_WINDOW:]
-        window = mags[:, pos]
-        ratios = window[:, 1:] / window[:, :-1]
-        growing = (window >= tol).all(axis=1) & (ratios >= 1.0 - _FLAT).all(axis=1)
-        for i in growing.nonzero()[0].tolist():
+    tail = (nz > _DIVERGENCE_DEGREE).nonzero()[0]
+    if len(tail) >= _DIVERGENCE_WINDOW:
+        pos = tail[-_DIVERGENCE_WINDOW:]
+        window = mags[pos]
+        ratios = window[1:] / window[:-1]
+        if (window >= tol).all() and (ratios >= 1.0 - _FLAT).all():
             # ratios of |c_n| with c_n hypergeometric follow rho*(1 + b/n), so
             # the intercept of a fit against 1/n extrapolates the ratio limit;
             # locally growing but eventually geometric tails (rho < 1) must
             # not be called divergent on a window cut before the turnaround
-            rho_lim = float(np.polyfit(1.0 / pos[1:], ratios[i], 1)[1])
-            if rho_lim >= 1.0 - _FLAT:
-                outcomes[i] = _SeriesOutcome(None, "divergent", math.inf, used, "divergence_fit")
+            if _intercept(1.0 / pos[1:], ratios) >= 1.0 - _FLAT:
+                return _SeriesOutcome(None, "divergent", math.inf, used, "divergence_fit")
 
-    # geometric tail; the magnitudes are positive by the shared pattern, so a
+    # geometric tail; the magnitudes of nonzero terms are positive, so a
     # ratio is NaN only next to a NaN magnitude, which no rho < 1 passes
-    if len(nz) > _RATIO_WINDOW and None in outcomes:
-        last = mags[:, -(_RATIO_WINDOW + 1):]
-        rho = (last[:, 1:] / last[:, :-1]).max(axis=1)
-        fits = (rho < 1.0) & (last[:, 1:] <= (tol * (1.0 - rho))[:, None]).all(axis=1)
-        for i in fits.nonzero()[0].tolist():
-            if outcomes[i] is None:
-                r = float(rho[i])
-                tail = float(last[i, -1]) * r / (1.0 - r)
-                outcomes[i] = _SeriesOutcome(complex(np.sum(w[i])), "converged", tail, used, "geometric_tail")
+    if len(nz) > _RATIO_WINDOW:
+        last = mags[-(_RATIO_WINDOW + 1):]
+        rho = (last[1:] / last[:-1]).max()
+        if rho < 1.0 and (last[1:] <= tol * (1.0 - rho)).all():
+            r = float(rho)
+            tail_sum = float(last[-1]) * r / (1.0 - r)
+            return _SeriesOutcome(complex(np.sum(w)), "converged", tail_sum, used, "geometric_tail")
 
-    open_rows = [i for i, out in enumerate(outcomes) if out is None]
-    reasons = dict.fromkeys(open_rows, "window_too_short")
-    if len(nz) >= 8 and open_rows:
-        # epsilon on the partial sums of terms that do not shrink returns the
-        # analytic continuation, not a sum: those rows never reach it
-        shrinks = _shrinking(mags[open_rows, -_EPS_TERMS:]).tolist()
-        reasons = {i: "epsilon_residual" if ok else "terms_not_shrinking" for i, ok in zip(open_rows, shrinks)}
-        tried = [i for i, ok in zip(open_rows, shrinks) if ok]
-        if tried:
-            for i, (value, resid) in zip(tried, _epsilon_check(w[tried])):
-                if math.isfinite(resid) and resid <= tol:
-                    outcomes[i] = _SeriesOutcome(value, "converged", resid, used, "epsilon")
-    for i, reason in reasons.items():
-        if outcomes[i] is None:
-            outcomes[i] = _SeriesOutcome(None, "undecided", math.inf, used, reason)
-    return outcomes
-
-
-def _pattern_blocks(rows: np.ndarray) -> list[list[int]]:
-    """Row indices grouped by nonzero pattern, in order of first appearance."""
-    groups: dict[bytes, list[int]] = {}
-    for i, mask in enumerate(rows != 0):
-        groups.setdefault(mask.tobytes(), []).append(i)
-    return list(groups.values())
-
-
-def _scaled(terms: np.ndarray, degrees: np.ndarray, ts) -> np.ndarray:
-    """(t x degree) matrix of the terms weighted by t^{2d}."""
-    return terms * np.asarray(ts, dtype=float)[:, None] ** (2.0 * degrees)
-
-
-def _series(terms: np.ndarray, finite: bool, cfg: RegularizationConfig, ts=None) -> list[_SeriesOutcome]:
-    """Outcome of each t in ts (terms weighted by t^{2d}), or of the plain row if ts is None."""
-    degrees = np.arange(len(terms))
-    # the plain row stays unweighted: a complex product with 1.0 turns an
-    # infinite imaginary part into a NaN real part and can flip a signed zero
-    rows = terms[None, :] if ts is None else _scaled(terms, degrees, ts)
-    outcomes: list = [None] * len(rows)
-    for idx in _pattern_blocks(rows):
-        for i, out in zip(idx, _rules(rows if len(idx) == len(rows) else rows[idx], degrees, finite, cfg)):
-            outcomes[i] = out
-    return outcomes
+    if len(nz) < 8:
+        return _SeriesOutcome(None, "undecided", math.inf, used, "window_too_short")
+    # epsilon on the partial sums of terms that do not shrink returns the
+    # analytic continuation, not a sum: such a row never reaches it
+    if not _shrinking(mags[-_EPS_TERMS:]):
+        return _SeriesOutcome(None, "undecided", math.inf, used, "terms_not_shrinking")
+    value, resid = _epsilon_check(w)
+    if math.isfinite(resid) and resid <= tol:
+        return _SeriesOutcome(value, "converged", resid, used, "epsilon")
+    return _SeriesOutcome(None, "undecided", math.inf, used, "epsilon_residual")
 
 
 def _report(out: _SeriesOutcome, method: str, **fields) -> PairingReport:
@@ -603,7 +432,7 @@ class _PairData:
 
     def plain(self) -> _SeriesOutcome:
         if self._plain is None:
-            self._plain = _series(self.terms, self.finite, self.cfg)[0]
+            self._plain = _series(self.terms, self.finite, self.cfg)
         return self._plain
 
 
@@ -633,100 +462,96 @@ def pairing_t(phi: GradedElement, psi: GradedElement, t: float, cfg: Regularizat
         raise ValueError("t must lie strictly between 0 and 1")
     cfg = cfg or RegularizationConfig()
     data = _pair_data(phi, psi, cfg)
-    return _report(_series(data.terms, data.finite, cfg, [t])[0], "scaled_t", t_grid=(t,))
+    return _report(_series(data.terms, data.finite, cfg, t), "scaled_t")
 
 
-def _log_growth(terms: np.ndarray, fit: np.ndarray) -> float:
-    """beta of a least-squares fit log|a_d| = alpha + beta d + gamma log(d+1) over `fit`.
+def _log_growth(terms: np.ndarray, fit: np.ndarray) -> tuple[float, float]:
+    """beta of a least-squares fit log|a_d| = alpha + beta d + gamma log(d+1) over `fit`, and its standard error.
 
     By Cauchy-Hadamard the radius of convergence of sum a_d x^d is exp(-beta),
-    up to the fit's slack.  NaN when a magnitude there is not finite.
+    up to the fit's slack.  The fit solves the normal equations of the
+    centred columns d and log(d+1) in closed form, so no LAPACK routine runs;
+    `fit` is the second half of a window, so d spans a factor of about two
+    and the two columns stay far from collinear.  The standard error is the
+    ordinary least-squares one, over len(fit) - 3 degrees of freedom, and
+    NaN without one.  Both are NaN for a fit of fewer than 3 terms or when a
+    magnitude there is not finite.
     """
-    d = fit.astype(float)
-    design = np.column_stack([np.ones_like(d), d, np.log1p(d)])
     with np.errstate(divide="ignore", invalid="ignore"):
         y = np.log(np.abs(terms[fit]))
-    if not np.isfinite(y).all():
-        return math.nan
-    return float(np.linalg.lstsq(design, y, rcond=None)[0][1])
-
-
-def _abel_off_grid(terms: np.ndarray, plain: _SeriesOutcome, cfg: RegularizationConfig) -> _SeriesOutcome | None:
-    """The Abel limit from the plain terms and their plain outcome, or None when the grid must decide.
-
-    In order: a convergent plain series sums to its Abel limit (Abel's
-    theorem); the epsilon continuation of the plain partial sums, when the
-    terms' radius of convergence is at least one; a pole at s = 1, when the
-    terms keep one phase and do not decay.  The radius fit, the phase and the
-    decay are read over all the nonzero terms (the fit and the decay over
-    their second half); epsilon sees the partial sums of all of them, and
-    is tried only when the fit allows a radius of at least one.
-    """
-    if plain.verdict == "converged":
-        return replace(plain, rule="plain_sum")
-    # only these two leave a window whose epsilon limit was never tried
-    if plain.rule not in ("divergence_fit", "terms_not_shrinking"):
-        return None
-    nz = terms.nonzero()[0]
-    fit = nz[len(nz) // 2:]
-    beta = _log_growth(terms, fit)
-    if beta <= _MAX_BETA:
-        (value, resid), = _epsilon_check(terms[None, nz])
-        if math.isfinite(resid) and resid <= cfg.tolerance:
-            return _SeriesOutcome(value, "converged", resid, plain.used_degree, "continuation")
-    # a pole needs terms that do not decay: a flat or rising fit, and no
-    # magnitude below the one before it; a slow decay leaves the grid to decide
-    phase = terms[nz] / np.abs(terms[nz])
-    mags = np.abs(terms[fit])
-    if (np.abs(phase - phase[0]).max() <= _PHASE_TOL and beta >= -_FLAT
-            and (mags[1:] >= (1.0 - _FLAT) * mags[:-1]).all()):
-        return _SeriesOutcome(None, "divergent", math.inf, plain.used_degree, "pole")
-    return None
+    if len(fit) < 3 or not np.isfinite(y).all():
+        return math.nan, math.nan
+    d = fit.astype(float)
+    lg = np.log1p(d)
+    d -= d.mean()
+    lg -= lg.mean()
+    y -= y.mean()
+    sdd, sll, sdl, sdy, sly = d @ d, lg @ lg, d @ lg, d @ y, lg @ y
+    det = sdd * sll - sdl * sdl
+    beta = (sll * sdy - sdl * sly) / det
+    resid = y - beta * d - (sdd * sly - sdl * sdy) / det * lg
+    dof = len(fit) - 3
+    se = math.sqrt(resid @ resid / dof * sll / det) if dof else math.nan
+    return float(beta), se
 
 
 def abel_pairing(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig | None = None) -> PairingReport:
-    """Abel limit lim_{t -> 1} sum_d <phi_d | psi_d> t^{2d}.
+    """Abel limit lim_{t -> 1} sum_d <phi_d | psi_d> t^{2d}, from the plain terms.
 
-    The routes off the plain terms come first (`_abel_off_grid`); their
-    report carries no grid.  Only when they all decline is the scaled
-    pairing summed along the configured grid t_k -> 1 and extrapolated by
-    the epsilon algorithm across the grid values.  The first grid point that
-    does not converge decides the report.  Grid values that grow without
-    bound are reported as divergent rather than extrapolated, since
-    extrapolating them would produce an antilimit, not an Abel limit.
+    In order: a convergent plain series sums to its Abel limit (Abel's
+    theorem); the epsilon continuation of the plain partial sums, when the
+    terms' radius of convergence is at least one; `divergent` when the
+    radius is below one, since then the scaled series has no sum for t near
+    1 and there is no limit to take; `divergent` at a pole at s = 1, when the
+    terms keep one phase and do not decay.  The radius fit, the phase and the
+    decay are read over all the nonzero terms (the fit and the decay over
+    their second half); epsilon sees the partial sums of all of them, and
+    is tried only when the fit allows a radius of at least one.  When every
+    route declines the report is `undecided`, for the plain series' reason.
+
+    The radius rule judges the growth inside the window: no rule on a finite
+    window can tell growth that turns after the horizon from growth that
+    never turns.  exp(sqrt d) 0.999^d converges, yet its fit reads
+    beta = 0.0196 at horizon 200, and the rule calls it `divergent` there.
     """
     cfg = cfg or RegularizationConfig()
     data = _pair_data(phi, psi, cfg)
-    terms = data.terms
-    out = _abel_off_grid(terms, data.plain(), cfg)
-    if out is not None:
-        # a converged route's tail is its own residual
-        return _report(out, "abel", extrapolation_residual=out.tail if out.verdict == "converged" else math.nan)
-    grid = cfg.t_grid()
-    values: list[complex] = []
-    used = 0
-    worst_tail = 0.0
-    failed = failed_t = None
-    for t, out in zip(grid, _series(terms, data.finite, cfg, grid)):
-        used = max(used, out.used_degree)
-        if out.verdict != "converged":
-            failed = replace(out, rule="grid") if out.verdict == "divergent" else out
-            failed_t = t
-            break
-        worst_tail = max(worst_tail, out.tail)
-        values.append(out.value)
-    # unbounded growth toward t = 1 means the Abel limit does not exist
-    last = np.abs(np.array(values[-6:]))
-    if failed is None and len(last) == 6 and np.all(np.diff(last) > 0) and last[-1] > 4.0 * (last[0] + 1e-30):
-        failed, failed_t = _SeriesOutcome(None, "divergent", math.inf, used, "grid"), grid[-1]
-    if failed is not None:
-        return _report(replace(failed, used_degree=used), "abel", t_grid=tuple(grid), failed_t=failed_t)
+    terms, plain = data.terms, data.plain()
+    out = plain
+    if plain.verdict == "converged":
+        out = replace(plain, rule="plain_sum")
+    # only these two leave a window whose epsilon limit was never tried
+    elif plain.rule in ("divergence_fit", "terms_not_shrinking"):
+        out = _abel_routes(terms, plain.used_degree, cfg)
+    # a converged route's tail is its own residual
+    return _report(out, "abel", extrapolation_residual=out.tail if out.verdict == "converged" else math.nan)
 
-    value, resid = wynn_epsilon(values)
-    ok = math.isfinite(resid) and resid <= cfg.tolerance
-    out = _SeriesOutcome(value if ok else None, "converged" if ok else "undecided", worst_tail, used,
-                         "grid" if ok else "epsilon_residual")
-    return _report(out, "abel", t_grid=tuple(grid), extrapolation_residual=float(resid))
+
+def _abel_routes(terms: np.ndarray, used: int, cfg: RegularizationConfig) -> _SeriesOutcome:
+    """The continuation, radius and pole routes of `abel_pairing`, on terms that do not shrink."""
+    nz = terms.nonzero()[0]
+    fit = nz[len(nz) // 2:]
+    beta, se = _log_growth(terms, fit)
+    if beta <= _MAX_BETA:
+        value, resid = _epsilon_check(terms[nz])
+        if math.isfinite(resid) and resid <= cfg.tolerance:
+            return _SeriesOutcome(value, "converged", resid, used, "continuation")
+    mags = np.abs(terms[fit])
+    # a radius below one needs terms that rise across the fit, not only a
+    # rising fitted slope: a deep dip at the start of a short window, where
+    # terms of several phases cancel, also tilts the fit
+    half = len(mags) // 2
+    if (len(fit) >= _RADIUS_FIT and beta - _RADIUS_SIGMAS * se > _RADIUS_BETA
+            and mags[half:].max() > mags[:half].max()):
+        return _SeriesOutcome(None, "divergent", math.inf, used, "radius_below_one")
+    # a pole needs terms that do not decay: a flat or rising fit, and no
+    # magnitude below the one before it
+    phase = terms[nz] / np.abs(terms[nz])
+    if (np.abs(phase - phase[0]).max() <= _PHASE_TOL and beta >= -_FLAT
+            and (mags[1:] >= (1.0 - _FLAT) * mags[:-1]).all()):
+        return _SeriesOutcome(None, "divergent", math.inf, used, "pole")
+    # terms the plain rules call divergent do not shrink either
+    return _SeriesOutcome(None, "undecided", math.inf, used, "terms_not_shrinking")
 
 
 def number_op_pow(phi: GradedElement, r: float) -> GradedElement:
