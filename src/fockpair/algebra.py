@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GuardExceeded, InsufficientHorizon
 
-# Exact integer combinatorics below this total degree, log-gamma above.
+# The oracles' weights: exact integers below this total degree, log-gamma above.
 _EXACT_DEGREE = 20
 
 # Size guards for the brute-force oracles.
@@ -103,12 +103,6 @@ def _rank(rows: np.ndarray, d: int) -> np.ndarray:
         tail += rows[:, m - k]
         pos += binom[k - 1 :, k].take(tail)
     return pos
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """lgamma(i + 1) for 0 <= i <= n."""
-    return _grown(("log_factorials",), n, lambda start, stop: np.array(
-        [math.lgamma(i + 1) for i in range(start, stop)]))
 
 
 def enumerate_basis(m: int, d: int) -> list[tuple[int, ...]]:
@@ -446,38 +440,15 @@ def embed_product(vectors, dim: int | None = None) -> GradedElement:
     return GradedElement(m, {d: out}, max_degree=d)
 
 
-def _log_gamma_weights(rows: np.ndarray, ent: tuple[int, ...], d: int) -> np.ndarray:
-    """sqrt(prod_i C(r_i + e_i, e_i)) for each row of total at most d.
+def _binomial_roots(e: int, n: int) -> np.ndarray:
+    """math.sqrt(C(i + e, e)) for 0 <= i <= n, of the exact binomials.
 
-    As in _sqrt_multibinom: log-gamma sums in coordinate order, then math.exp
-    once per distinct exponent (numpy's exp differs in the last bit on some
-    entries).
+    math.sqrt rounds an integer to a float first, which overflows from 2^1024
+    up; past 1000 bits the integer root, rounded once, stands in for it.
     """
-    lgam = _log_factorials(d + sum(ent))
-    lg = np.zeros(len(rows))
-    for i, e in enumerate(ent):
-        lg += lgam[rows[:, i] + e] - lgam[rows[:, i]] - lgam[e]
-    exponents, where = np.unique(0.5 * lg, return_inverse=True)
-    return np.array([math.exp(x) for x in exponents.tolist()])[where]
-
-
-def _support_weights(src: np.ndarray, entry: tuple[int, ...], support: list[int], d: int) -> np.ndarray:
-    """Log-gamma weights on the degree-d basis src for an entry that leaves out a coordinate.
-
-    An off-support coordinate adds 0.0 to _sqrt_multibinom's log-gamma sum, so
-    a source row weighs what its support row (its coordinates on support,
-    total <= d) does, bit for bit.  Led by the slack d minus their total, the
-    support rows are the degree-d basis over k + 1 variables, k = len(support):
-    src itself when k + 1 = m, else an array that the recursion behind src
-    has cached.  _rank, which never reads column 0, places each source row's
-    support row in one grown table per nonzero exponents, smaller totals first.
-    """
-    ent = tuple(entry[i] for i in support)
-    k = len(ent)
-    basis = src if k + 1 == src.shape[1] else _basis_array(k + 1, d)
-    weights = _grown(("support", ent), math.comb(d + k, k) - 1, lambda start, stop: _log_gamma_weights(
-        basis[start:stop, 1:], ent, d))
-    return weights[_rank(src[:, [0] + support], d)]
+    return _grown(("binomial_roots", e), n, lambda start, stop: np.array([
+        math.sqrt(c) if c.bit_length() <= 1000 else float(math.isqrt(c))
+        for c in (math.comb(i + e, e) for i in range(start, stop))]))
 
 
 def _scatter_map(m: int, d_src: int, entry: tuple[int, ...], src: np.ndarray | None = None):
@@ -486,26 +457,17 @@ def _scatter_map(m: int, d_src: int, entry: tuple[int, ...], src: np.ndarray | N
     src is the degree-d_src basis, _basis_rows(m, d_src), built here unless
     the caller passes it.  D -> D + entry is injective, so the returned index
     array has no repeats and a scatter through it adds to each target
-    position once.  The weights are bit for bit those of
-    _sqrt_multibinom(D, entry): the same exact binomials below _EXACT_DEGREE,
-    the same log-gamma sums above it.  There, an entry on every coordinate
-    has a support row per source row that recurs at no other source degree,
-    so its table is weighed alone; any other entry reads _support_weights,
-    shared across entries and degrees.
+    position once.  Row D weighs sqrt((D + E)! / (D! E!)): the product, in
+    coordinate order, of sqrt(C(d_i + e_i, e_i)) over the i with e_i > 0,
+    each factor read from its exponent's shared table (_binomial_roots).
     """
     if src is None:
         src = _basis_rows(m, d_src)
-    d_tgt = d_src + sum(entry)
-    ent = np.array(entry, dtype=np.intp)
-    tgt = src + ent
-    idx = _rank(tgt, d_tgt)
-    if d_tgt <= _EXACT_DEGREE:
-        prod = _binomials(_EXACT_DEGREE, _EXACT_DEGREE)[tgt, ent].prod(axis=1)
-        return idx, np.sqrt(prod.astype(float))
-    support = [i for i, e in enumerate(entry) if e]
-    if len(support) == m:
-        return idx, _log_gamma_weights(src, entry, d_src)
-    return idx, _support_weights(src, entry, support, d_src)
+    idx = _rank(src + np.array(entry, dtype=np.intp), d_src + sum(entry))
+    w = np.ones(len(src))
+    for i in np.flatnonzero(entry):
+        w *= _binomial_roots(entry[i], d_src)[src[:, i]]
+    return idx, w
 
 
 # A degree pair whose stacked product would hold more coefficients than this

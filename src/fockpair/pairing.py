@@ -546,7 +546,8 @@ def _abel_routes(terms: np.ndarray, used: int, cfg: RegularizationConfig) -> _Se
         return _SeriesOutcome(None, "divergent", math.inf, used, "radius_below_one")
     # a pole needs terms that do not decay: a flat or rising fit, and no
     # magnitude below the one before it
-    phase = terms[nz] / np.abs(terms[nz])
+    with np.errstate(invalid="ignore"):  # a term that is not finite has a NaN phase, failing the test
+        phase = terms[nz] / np.abs(terms[nz])
     if (np.abs(phase - phase[0]).max() <= _PHASE_TOL and beta >= -_FLAT
             and (mags[1:] >= (1.0 - _FLAT) * mags[:-1]).all()):
         return _SeriesOutcome(None, "divergent", math.inf, used, "pole")

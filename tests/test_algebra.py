@@ -5,6 +5,7 @@ permanent oracle, the convolution product against the splitting product, and
 both against small hand-computed values.
 """
 
+import itertools
 import math
 import random
 
@@ -200,7 +201,7 @@ def _loop_scatter_map(m, d_src, entry):
     for i, D in enumerate(src):
         tgt = tuple(a + b for a, b in zip(D, entry))
         idx[i] = pos_tgt[tgt]
-        w[i] = algebra._sqrt_multibinom(D, entry)
+        w[i] = math.prod(math.sqrt(math.comb(d + e, e)) for d, e in zip(D, entry) if e)
     return idx, w
 
 
@@ -217,12 +218,6 @@ def test_rank_is_basis_position():
         table = algebra._binomials(n, k)
         assert not table.flags.writeable
         assert table.tolist() == [[math.comb(i, j) for j in range(k + 1)] for i in range(n + 1)]
-    # so do the log factorials: one table, whatever sizes are asked for
-    for n in (0, 7, 300, 40):
-        table = algebra._log_factorials(n)
-        assert not table.flags.writeable
-        assert table.tolist() == [math.lgamma(i + 1) for i in range(n + 1)]
-    assert np.shares_memory(algebra._log_factorials(300), algebra._log_factorials(40))
 
 
 def test_grown_table_fills_only_new_rows():
@@ -261,15 +256,15 @@ def _assert_reference_plan(plan, m, d_src, entries):
 
 
 def test_scatter_tables_match_loop_reference():
-    # target degrees 1 to 43 cover both sides of _EXACT_DEGREE; at m = 5 the
+    # target degrees 1 to 43, entries of degrees 1 to 3; at m = 5 the
     # reference loop costs about 0.8 s per entry, so it takes three entries
     plan = algebra._scatter_plan.__wrapped__  # uncached, so the grid leaves no plans behind
     grid = {m: (range(41), fp.enumerate_basis(m, 1) + fp.enumerate_basis(m, 2) + fp.enumerate_basis(m, 3)[::4])
             for m in (1, 2, 3)}
     grid[4] = (range(25), fp.enumerate_basis(4, 1) + fp.enumerate_basis(4, 2))
     grid[5] = (range(25), [(0, 0, 0, 0, 1), (0, 1, 0, 1, 0), (2, 0, 1, 0, 0)])
-    # the degree-2 entries of a Gaussian series further out, where the weights
-    # of every table come from support rows shared across source degrees
+    # the degree-2 entries of a Gaussian series further out, whose factor
+    # tables the lower source degrees have already grown
     extra = {3: (range(46, 81, 6), fp.enumerate_basis(3, 2)), 4: ((30, 39, 48), fp.enumerate_basis(4, 2))}
     for degrees, entries in list(grid.values()) + list(extra.values()):
         for d_src in degrees:
@@ -277,8 +272,8 @@ def test_scatter_tables_match_loop_reference():
 
 
 def test_scatter_tables_bit_identical_in_any_build_order():
-    # supports of 1 to 4 coordinates on both sides of _EXACT_DEGREE, asked for
-    # in shuffled order, so the support-row weights grow and are read at
+    # supports of 1 to 4 coordinates at source degrees 4 to 60, asked for in
+    # shuffled order, so each exponent's factor table grows and is read at
     # degrees below the largest it has served
     cases = [(m, d_src, entry)
              for m, degrees, entries in (
@@ -289,17 +284,50 @@ def test_scatter_tables_bit_identical_in_any_build_order():
              for d_src in degrees for entry in entries]
     random.Random(71).shuffle(cases)
     algebra._scatter_plan.cache_clear()
-    for key in [key for key in algebra._grown_tables if key[0] == "support"]:
+    for key in [key for key in algebra._grown_tables if key[0] == "binomial_roots"]:
         del algebra._grown_tables[key]
     served = {}
     for m, d_src, entry in cases:
         _assert_reference_plan(algebra._scatter_plan, m, d_src, [entry])
-        if d_src + sum(entry) > algebra._EXACT_DEGREE and 0 in entry:
-            key = tuple(e for e in entry if e)
-            served[key] = max(served.get(key, 0), d_src)
-    # one weight per support row of the largest source degree served
-    assert {key[1]: len(w) for key, w in algebra._grown_tables.items() if key[0] == "support"} == {
-        key: math.comb(d + len(key), len(key)) for key, d in served.items()}
+        for e in set(entry) - {0}:
+            served[e] = max(served.get(e, 0), d_src)
+    # one table per exponent, one factor per source degree up to the largest served
+    assert {key[1]: len(w) for key, w in algebra._grown_tables.items() if key[0] == "binomial_roots"} == {
+        e: d + 1 for e, d in served.items()}
+
+
+def _exact_root(square: int) -> float:
+    """sqrt(square), from the exact integer root of square * 2^200, rounded once."""
+    return math.isqrt(square << 200) / 2**100
+
+
+def test_plan_weights_are_exact_roots_within_an_ulp():
+    # a weight hangs on the entry's nonzero exponents and the source row's values
+    # there, each below 256 and so packed into one key: one weight per key is
+    # checked, and every other weight under that key must equal it
+    plan, seen = algebra._scatter_plan.__wrapped__, {}
+    for m, top in ((1, 200), (2, 120), (3, 80), (4, 40), (5, 24)):
+        for d_src, d_ent in itertools.product(range(top + 1), (1, 2, 3)):
+            src = algebra._basis_rows(m, d_src)
+            for entry, w in zip(fp.enumerate_basis(m, d_ent), plan(m, d_src, d_ent, None)[1]):
+                on = np.flatnonzero(entry)
+                keys = src[:, on] @ 256 ** np.arange(len(on))
+                seen.setdefault(tuple(np.take(entry, on).tolist()), []).append((keys, w))
+    for ent, parts in seen.items():
+        keys, weights = map(np.concatenate, zip(*parts))
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        assert np.array_equal(weights, weights[first][inverse])
+        for key, w in zip(uniq.tolist(), weights[first].tolist()):
+            square = math.prod(math.comb((key >> 8 * j) % 256 + e, e) for j, e in enumerate(ent))
+            assert abs(w / _exact_root(square) - 1) <= 1e-15, (ent, key)
+
+
+def test_extreme_degree_product_stays_finite():
+    # C(1200, 600) needs 1196 bits, past the float range math.sqrt converts to
+    power = fp.GradedElement(1, {600: [1.0]}, 600)
+    got = fp.symmetric_product(power, power, cap=1200).component(1200)[0]
+    assert math.isfinite(got.real) and got.imag == 0
+    assert abs(got.real / _exact_root(math.comb(1200, 600)) - 1) <= 1e-15
 
 
 def _scan_nonzero(el):
@@ -563,7 +591,7 @@ def test_gaussian_truncations_multiply_like_exponentials():
     m = 2
     x = fp.random_symmetric(m, rng, norm=0.5)
     y = fp.random_symmetric(m, rng, norm=0.4)
-    cap = 30  # past _EXACT_DEGREE, where the weights come from log-gamma sums
+    cap = 30  # past _EXACT_DEGREE, where antidual_product's weights come from log-gamma sums
     ex = fp.gaussian_series(fp.GaussianSeed.from_map(x), cap=cap)
     ey = fp.gaussian_series(fp.GaussianSeed.from_map(y), cap=cap)
     combined = fp.AntilinearSymmetricMap(x.matrix + y.matrix)

@@ -307,9 +307,9 @@ def test_console_script_installed():
 
 def test_cli_import_leaves_scipy_out():
     # numpy is the only dependency; importing scipy would double the CLI's start-up
-    # and builds no scatter plan, product layout or support-row weight at import
+    # and builds no scatter plan, product layout or binomial-root table at import
     code = ("import sys, fockpair.cli; from fockpair import algebra; assert 'scipy' not in sys.modules; "
             "assert algebra._scatter_plan.cache_info().currsize == 0; assert algebra._product_layout.cache_info().currsize == 0; "
-            "assert not [key for key in algebra._grown_tables if key[0] == 'support']")
+            "assert not [key for key in algebra._grown_tables if key[0] == 'binomial_roots']")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -648,11 +648,15 @@ def test_report_fields_round_out():
         assert (rep_a.method, rep_a.verdict, rep_a.rule) == ("abel", "converged", rule), name
         assert abs(rep_a.value - want) <= cfg.tolerance, name
         assert 0.0 <= rep_a.extrapolation_residual == rep_a.tail_estimate <= cfg.tolerance, name
-    # bounded random terms: no route decides, and the report has no residual
+    # bounded random terms, and ones that end in a term that is not finite,
+    # which has no phase for the pole test: no route decides, nothing warns,
+    # and the report has no residual
     rng = np.random.default_rng(2)
-    rep_a = fp.abel_pairing(ones, fp.sequence_element(rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n)), cfg)
-    assert (rep_a.verdict, rep_a.rule, rep_a.value) == ("undecided", "terms_not_shrinking", None)
-    assert math.isnan(rep_a.extrapolation_residual)
+    for seq in [rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n)] + [
+            np.r_[np.ones(n - 1), last] for last in (math.inf, math.nan, complex(1.0, math.inf))]:
+        rep_a = fp.abel_pairing(ones, fp.sequence_element(seq), cfg)
+        assert (rep_a.verdict, rep_a.rule, rep_a.value) == ("undecided", "terms_not_shrinking", None), seq[-1]
+        assert math.isnan(rep_a.extrapolation_residual)
 
 
 # ---------------------------------------------------------------- the last pair

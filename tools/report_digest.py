@@ -1,6 +1,6 @@
 """md5 of every report the in-process benchmark workloads produce.
 
-    python3 tools/report_digest.py
+    python3 tools/report_digest.py [--lines]
 
 Run from anywhere inside a source checkout; the package is imported from
 its `src/` directory.  The `sweep-warm` (600 Gaussian pairs) and `verdict`
@@ -12,6 +12,12 @@ workload, `sweep-warm <md5>` and `verdict <md5>`, digests that workload's
 lines alone, so a moved digest names the workload whose reports moved; the
 last line is the digest of both.  A change meant to keep every result
 prints the same last line before and after.
+
+With --lines it prints no digest but one line per pairing report,
+`workload i key verdict rule`, where key is the report's name in a
+`sweep-warm` result (norm, cross, scaled, abel) and its method in a
+`verdict` result.  `diff` of two checkouts' lines lists every verdict or
+rule that moved.
 """
 
 from __future__ import annotations
@@ -29,22 +35,41 @@ from verdict import Verdict  # noqa: E402
 ORDER_SEED = 1
 
 
+def results():
+    """(workload name, i, result) of every operation, in order."""
+    for workload in (SweepWarm(), Verdict()):
+        workload.setup()
+        for i, op in enumerate(workload.ops(ORDER_SEED)):
+            yield workload.name, i, op.call()
+
+
 def digests() -> tuple[dict[str, str], str]:
     """md5 of each workload's report lines, and of all of them in order."""
     both, each = hashlib.md5(), {}
-    for workload in (SweepWarm(), Verdict()):
-        workload.setup()
-        own = hashlib.md5()
-        for i, op in enumerate(workload.ops(ORDER_SEED)):
-            line = f"{workload.name} {i} {op.call()!r}\n".encode()
-            own.update(line)
-            both.update(line)
-        each[workload.name] = own.hexdigest()
-    return each, both.hexdigest()
+    for name, i, result in results():
+        line = f"{name} {i} {result!r}\n".encode()
+        each.setdefault(name, hashlib.md5()).update(line)
+        both.update(line)
+    return {name: md5.hexdigest() for name, md5 in each.items()}, both.hexdigest()
+
+
+def report_lines():
+    """One `workload i key verdict rule` line per pairing report, in order."""
+    for name, i, result in results():
+        named = result.items() if isinstance(result, dict) else ((r.method, r) for r in result)
+        for key, report in named:
+            if hasattr(report, "verdict"):  # not a closed-form number
+                yield f"{name} {i} {key} {report.verdict} {report.rule}"
 
 
 if __name__ == "__main__":
-    each, both = digests()
-    for name, md5 in each.items():
-        print(name, md5)
-    print(both)
+    if sys.argv[1:] == ["--lines"]:
+        for line in report_lines():
+            print(line)
+    elif sys.argv[1:]:
+        sys.exit(__doc__.split("\n\n")[1])
+    else:
+        each, both = digests()
+        for name, md5 in each.items():
+            print(name, md5)
+        print(both)
