@@ -3,6 +3,13 @@
 One JSON report per run goes to standard output; diagnostics go to standard
 error.  Exit codes: 0 success/converged, 1 malformed input or failed suite,
 2 divergence verdict, 3 undecided verdict, 4 domain violation.
+
+`pair --method series` (with or without --t), `pair --method abel` and
+`norm --method series` stream the pair's term vector with gaussian_terms,
+which keeps two degrees per series, and judge it with terms_report, the
+pairing rules of pairing_1, pairing_t and abel_pairing; `demo divergence`
+reads its ratios off the same stream.  The closed methods evaluate the
+determinant formulas and sum nothing.
 """
 
 from __future__ import annotations
@@ -19,15 +26,8 @@ import numpy as np
 from . import __version__, antilinear, gaussian, suites
 from .detsqrt import det_sqrt, segment_branch_check
 from .errors import DomainError, FockpairError
-from .gaussian import GaussianSeed, gaussian_series
-from .pairing import (
-    RegularizationConfig,
-    abel_pairing,
-    divergence_demo,
-    pairing_1,
-    pairing_t,
-    sequence_noninvariance_demo,
-)
+from .gaussian import GaussianSeed, gaussian_terms
+from .pairing import RegularizationConfig, divergence_demo, sequence_noninvariance_demo, terms_report
 
 _LOAD_SYMMETRY_TOL = 1e-10
 
@@ -138,12 +138,7 @@ def _cmd_pair(args):
         # degrees are 2n, so the closed form is evaluated at parameter t^2
         value = gaussian.pair_closed(sx, sy, t * t)
         return config | {"t": t}, {"value": value, "method": "closed_form"}, 0
-    ex = gaussian_series(sx, cap=cfg.max_degree)
-    ey = gaussian_series(sy, cap=cfg.max_degree)
-    if args.method == "series":
-        rep = pairing_1(ex, ey, cfg) if args.t is None else pairing_t(ex, ey, args.t, cfg)
-    else:
-        rep = abel_pairing(ex, ey, cfg)
+    rep = terms_report(*gaussian_terms(sx, sy, cfg.max_degree), cfg, args.method, args.t)
     return config, rep, _verdict_exit(rep.verdict)
 
 
@@ -153,8 +148,7 @@ def _cmd_norm(args):
     config = {"method": args.method, "tolerance": cfg.tolerance, "max_degree": cfg.max_degree}
     if args.method == "closed":
         return config, {"norm_sq": gaussian.norm_sq_closed(sz), "method": "closed_form"}, 0
-    ez = gaussian_series(sz, cap=cfg.max_degree)
-    rep = pairing_1(ez, ez, cfg)
+    rep = terms_report(*gaussian_terms(sz, sz, cfg.max_degree), cfg)
     return config, rep, _verdict_exit(rep.verdict)
 
 

@@ -47,14 +47,19 @@ reason; terms that the plain rules call divergent do not shrink either
 
 The pairings share one path, `_series`, which applies every rule above to
 one term row: the plain terms, or the terms weighted by t^{2d}.  `_report`
-turns an outcome into the report.  Consecutive pairings of one pair share
-its term vector and its plain outcome: a one-entry memo (`_pair_data`),
-keyed by the identity of phi and psi through weak references and by the
-config's value, keeps the last pair's read-only terms, its finite flag and,
-once something asks for it, its plain outcome, so `pairing_1`, `pairing_t`
-and `abel_pairing` on one pair call `degree_terms` once and run the plain
-rules once.  Elements are immutable, so identity stands for content; the
-weak references keep no series alive.
+turns an outcome into the report, and `_abel_report` runs the Abel routes
+on a row and its plain outcome.  `terms_report` gives any of the three
+reports for a term vector made elsewhere, such as the Gaussian stream of
+`gaussian_terms`, through the same three functions.
+
+Consecutive pairings of one pair share its term vector and its plain
+outcome: a one-entry memo (`_pair_data`), keyed by the identity of phi and
+psi through weak references and by the config's value, keeps the last
+pair's read-only terms, its finite flag and, once something asks for it,
+its plain outcome, so `pairing_1`, `pairing_t` and `abel_pairing` on one
+pair call `degree_terms` once and run the plain rules once.  Elements are
+immutable, so identity stands for content; the weak references keep no
+series alive.
 
 Every epsilon call reads one row of partial sums and at most two prefixes
 of it, the full and the shortened window, off one scalar tableau in
@@ -458,11 +463,31 @@ def pairing_1(phi: GradedElement, psi: GradedElement, cfg: RegularizationConfig 
 
 def pairing_t(phi: GradedElement, psi: GradedElement, t: float, cfg: RegularizationConfig | None = None) -> PairingReport:
     """Scaled pairing sum_d <phi_d | psi_d> t^{2d} for 0 < t < 1."""
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie strictly between 0 and 1")
+    _check_t(t)
     cfg = cfg or RegularizationConfig()
     data = _pair_data(phi, psi, cfg)
     return _report(_series(data.terms, data.finite, cfg, t), "scaled_t")
+
+
+def _check_t(t: float) -> None:
+    if not 0.0 < t < 1.0:
+        raise ValueError("t must lie strictly between 0 and 1")
+
+
+def terms_report(terms: np.ndarray, finite: bool, cfg: RegularizationConfig, method: str = "series",
+                 t: float | None = None) -> PairingReport:
+    """The report of pairing_1 (t None), pairing_t or, for method "abel", abel_pairing on a pair with these terms.
+
+    terms and finite are what degree_terms gives for the pair up to
+    cfg.max_degree, or the same terms with trailing zeros dropped; here the
+    caller made them by another route, such as gaussian_terms.
+    """
+    if method == "abel":
+        return _abel_report(terms, _series(terms, finite, cfg), cfg)
+    if t is None:
+        return _report(_series(terms, finite, cfg), "series_1")
+    _check_t(t)
+    return _report(_series(terms, finite, cfg, t), "scaled_t")
 
 
 def _log_growth(terms: np.ndarray, fit: np.ndarray) -> tuple[float, float]:
@@ -516,7 +541,11 @@ def abel_pairing(phi: GradedElement, psi: GradedElement, cfg: RegularizationConf
     """
     cfg = cfg or RegularizationConfig()
     data = _pair_data(phi, psi, cfg)
-    terms, plain = data.terms, data.plain()
+    return _abel_report(data.terms, data.plain(), cfg)
+
+
+def _abel_report(terms: np.ndarray, plain: _SeriesOutcome, cfg: RegularizationConfig) -> PairingReport:
+    """The Abel report on a pair's terms, given their plain outcome."""
     out = plain
     if plain.verdict == "converged":
         out = replace(plain, rule="plain_sum")
@@ -661,12 +690,13 @@ def divergence_demo(m: int) -> list[float]:
 
     Returns c_{n+1} / c_n for c_n = |zeta^n / n!|^2, which equals
     (n + m/2) / (n + 1); for m > 2 the ratios exceed one, so the self-pairing
-    terms grow and the plain series pairing diverges on the boundary.
+    terms grow and the plain series pairing diverges on the boundary.  The
+    c_n are the self-pairing terms that gaussian_terms streams, two degrees
+    at a time, up to degree 2 * _DEMO_POWERS.
     """
     from .antilinear import conjugation
-    from .gaussian import GaussianSeed, gaussian_series
+    from .gaussian import GaussianSeed, gaussian_terms
 
     seed = GaussianSeed.from_map(conjugation(m))
-    series = gaussian_series(seed, cap=2 * _DEMO_POWERS)
-    c = [float(np.vdot(series.component(2 * n), series.component(2 * n)).real) for n in range(_DEMO_POWERS + 1)]
+    c = gaussian_terms(seed, seed, 2 * _DEMO_POWERS)[0][::2].real.tolist()
     return [c[n + 1] / c[n] for n in range(_DEMO_POWERS)]

@@ -24,6 +24,7 @@ from .algebra import GradedElement
 from .pairing import (
     RegularizationConfig,
     abel_pairing,
+    degree_terms,
     divergence_demo,
     hoelder_pairing_check,
     number_op_pow,
@@ -227,6 +228,29 @@ def scaled_pairing_vs_closed(rng) -> float:
     return abs(rep.value - closed) / abs(closed) if rep.converged else math.inf
 
 
+def stream_gap(sx: gaussian.GaussianSeed, sy: gaussian.GaussianSeed, cap: int) -> float:
+    """Worst |a_d(gaussian_terms) - a_d(degree_terms on gaussian_series)| / (|phi_d| |psi_d|) up to cap.
+
+    A degree where both routes read 0 counts 0.  Differing finite flags, a
+    longer stream or a nonzero odd term count as infinite.
+    """
+    ex, ey = gaussian.gaussian_series(sx, cap), gaussian.gaussian_series(sy, cap)
+    want, finite = degree_terms(ex, ey)
+    got, got_finite = gaussian.gaussian_terms(sx, sy, cap)
+    if got_finite != finite or len(got) > len(want):
+        return math.inf
+    gap = np.abs(np.pad(got, (0, len(want) - len(got))) - want)
+    scale = [np.linalg.norm(ex.component(d)) * np.linalg.norm(ey.component(d)) for d in range(cap + 1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(gap == 0, 0.0, gap / scale)
+    return math.inf if gap[1::2].any() else float(rel.max())
+
+
+def stream_terms_vs_element_terms(rng) -> float:
+    m, cap = int(rng.integers(1, 5)), int(rng.integers(0, 81))
+    return stream_gap(_random_seed(rng, m, 0.05, 0.9), _random_seed(rng, m, 0.05, 0.9), cap)
+
+
 def quadratic_correspondence_roundtrip(rng) -> float:
     z = antilinear.random_symmetric(int(rng.integers(1, 6)), rng)
     back = antilinear.map_from_quadratic(antilinear.quadratic_from_map(z))
@@ -412,6 +436,7 @@ CHECKS = (
     Entry("gaussian", takagi_reconstruction, 50, 1e-10),
     Entry("gaussian", norm_sq_series_vs_closed, 15, 1e-8),
     Entry("gaussian", scaled_pairing_vs_closed, 15, 1e-8),
+    Entry("gaussian", stream_terms_vs_element_terms, 8, 1e-12),
     Entry("gaussian", quadratic_correspondence_roundtrip, 25, 1e-12),
     Entry("gaussian", det_sqrt_square_identity, 20, 1e-10),
     Entry("gaussian", det_sqrt_segment_continuity, 20, 1e-8),

@@ -313,3 +313,76 @@ def test_cli_import_leaves_scipy_out():
             "assert not [key for key in algebra._grown_tables if key[0] == 'binomial_roots']")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_series_commands_match_element_route(files, capsys):
+    # each streamed report holds the element route's verdict, rule and
+    # horizon; its value, tail and residual agree to 1e-12 relative (in dim
+    # one the two routes round the product differently)
+    from fockpair import cli
+    from fockpair.pairing import RegularizationConfig
+
+    rng = np.random.default_rng(23)
+    mats = [fp.random_symmetric(m, rng, norm=norm).matrix for m, norm in ((1, 0.9), (2, 0.95), (3, 0.7), (2, 1.0))]
+    paths = [write_matrix(files["dir"] / f"s{k}.json", a) for k, a in enumerate(mats)]
+    pairs = [(paths[0], files["diag06"], 200), (paths[1], paths[3], 200), (paths[2], paths[2], 60),
+             (files["sigma2"], files["negsigma2"], 200), (paths[3], paths[3], 120)]
+    for x, y, cap in pairs:
+        cfg = RegularizationConfig(max_degree=cap)
+        ex = fp.gaussian_series(cli._seed_from_file(x), cap)
+        ey = fp.gaussian_series(cli._seed_from_file(y), cap)
+        runs = [
+            (["pair", "--x", x, "--y", y, "--method", "series"], fp.pairing_1(ex, ey, cfg)),
+            (["pair", "--x", x, "--y", y, "--method", "series", "--t", "0.9"], fp.pairing_t(ex, ey, 0.9, cfg)),
+            (["pair", "--x", x, "--y", y, "--method", "abel"], fp.abel_pairing(ex, ey, cfg)),
+            (["norm", "--z", x, "--method", "series"], fp.pairing_1(ex, ex, cfg)),
+        ]
+        for argv, rep in runs:
+            code, doc = run_cli(capsys, argv + ["--max-degree", str(cap)])
+            got, want = doc["result"], cli._encode(rep)
+            assert code == cli._verdict_exit(rep.verdict)
+            assert got.keys() == want.keys()
+            for key in got:
+                a, b = got[key], want[key]
+                if key in ("value", "tail_estimate", "extrapolation_residual") and None not in (a, b):
+                    a, b = (complex(x["re"], x["im"]) if key == "value" else x for x in (a, b))
+                    assert abs(a - b) <= 1e-12 * abs(b), (argv, key, a, b)
+                else:
+                    assert a == b, (argv, key, a, b)
+
+
+def test_underflowing_series_stops_at_its_last_term(files, capsys):
+    # h = 0.5 in dim one: the element route summed degree by degree up to the
+    # cap and reported these fields; the stream stops once a degree is all zero
+    h = write_matrix(files["dir"] / "h.json", [[0.5]])
+    code, doc = run_cli(capsys, ["pair", "--x", h, "--y", h, "--method", "series", "--max-degree", "4000000"])
+    rep = doc["result"]
+    assert code == 0
+    assert {k: rep[k] for k in ("method", "verdict", "rule", "converged", "truncation_degree", "tail_estimate")} == {
+        "method": "series_1", "verdict": "converged", "rule": "geometric_tail", "converged": True,
+        "truncation_degree": 1068, "tail_estimate": 5e-324}
+    assert rep["value"]["re"] == pytest.approx(2.0 / 3.0**0.5, rel=1e-12) and rep["value"]["im"] == 0.0
+    # a cap past the coefficient budget still fails at once, with its own message
+    code = main(["pair", "--x", h, "--y", h, "--method", "series", "--max-degree", str(10**9)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == "error: series of dim 1 to degree 1000000000 needs more than 50000000 coefficients\n"
+
+
+def test_series_commands_keep_no_scatter_plan(files):
+    # the series, Abel and norm commands and the divergence demo stream their
+    # terms: no scatter plan or product layout is left in the process
+    argvs = [
+        ["pair", "--x", files["sigma2"], "--y", files["negsigma2"], "--method", "series"],
+        ["pair", "--x", files["sigma2"], "--y", files["negsigma2"], "--method", "abel"],
+        ["norm", "--z", files["diag06"], "--method", "series"],
+        ["demo", "divergence", "--dim", "4"],
+    ]
+    code = (f"import contextlib, io; from fockpair import algebra, cli\n"
+            f"for argv in {argvs!r}:\n"
+            f"    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert cli.main(argv) in (0, 2), argv\n"
+            f"assert algebra._scatter_plan.cache_info().currsize == 0\n"
+            f"assert algebra._product_layout.cache_info().currsize == 0\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -249,3 +249,65 @@ def test_pair_closed_domain_errors():
         fp.pair_closed(sigma, sigma, 1.5)
     with pytest.raises(fp.DomainError):
         fp.pair_closed(sigma, fp.GaussianSeed.from_map(fp.conjugation(3)), 0.5)
+
+
+def test_stream_terms_match_element_terms():
+    # dense, diagonal and sparse maps, a subnormal entry, caps 0 and 1, one
+    # seed paired with itself, and a unitary whose entries add up past its
+    # norm: pivoting on the first nonzero coordinate alone reads its
+    # degree-200 terms 3e-5 off
+    rng = np.random.default_rng(31)
+    u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    sparse = [[0.5, 0.0, 0.2], [0.0, 0.3j, 0.1], [0.2, 0.1, -0.4]]
+    tiny, other = seed_from(np.diag([0.9, 1e-323])), random_seed(rng, 2, 0.7)
+    cases = [(random_seed(rng, m, 0.85), random_seed(rng, m, 0.6), cap) for m, cap in ((1, 200), (2, 120), (3, 60), (4, 30))]
+    cases += [
+        (seed_from(np.diag([0.7, -0.4 + 0.2j, 0.5])), seed_from(sparse), 60),
+        (seed_from(sparse), seed_from(sparse), 60),
+        (seed_from(u), seed_from(-u), 200),
+        (tiny, tiny, 80), (tiny, other, 80), (other, tiny, 0), (other, tiny, 1),
+    ]
+    for sx, sy, cap in cases:
+        assert suites.stream_gap(sx, sy, cap) <= 1e-13, (sx.map.matrix, cap)
+    same = random_seed(rng, 3, 0.8)
+    assert suites.stream_gap(same, same, 60) <= 1e-13
+    terms, finite = fp.gaussian_terms(same, same, 60)
+    assert not finite and len(terms) == 61 and np.array_equal(terms.imag, np.zeros(61))
+
+
+def test_stream_of_a_zero_seed_or_a_short_cap_is_one_term():
+    # A = 0 on either side makes the pairing finite and exactly the degree-zero
+    # term; caps 0 and 1 stop there too, but the series is not finite
+    zero, dense = seed_from(np.zeros((3, 3))), random_seed(np.random.default_rng(2), 3, 0.7)
+    for sx, sy, cap, want in ((zero, zero, 40, True), (zero, dense, 40, True), (dense, zero, 40, True),
+                              (dense, dense, 0, False), (dense, dense, 1, False)):
+        terms, finite = fp.gaussian_terms(sx, sy, cap)
+        assert finite == want and np.array_equal(terms, [1.0])
+        assert suites.stream_gap(sx, sy, cap) == 0.0
+
+
+def test_stream_stops_once_a_degree_underflows(monkeypatch):
+    # h = 0.5 in dim one: the terms underflow past degree 1068 and the
+    # coefficients near degree 2150, where the stream stops after about 1075
+    # steps, long before a cap of 4 * 10^6
+    steps, step = [], gaussian._next_degree
+    monkeypatch.setattr(gaussian, "_next_degree", lambda m, d, *rest: steps.append(d) or step(m, d, *rest))
+    h = seed_from([[0.5]])
+    terms, finite = fp.gaussian_terms(h, h, 4_000_000)
+    assert not finite and len(terms) == 1069 and terms[-1] != 0
+    assert len(steps) < 1100
+    assert suites.stream_gap(h, h, 1200) <= 1e-13
+
+
+def test_stream_guards(monkeypatch):
+    seed = seed_from(0.5 * np.eye(2))
+    with pytest.raises(ValueError, match="cap"):
+        fp.gaussian_terms(seed, seed, -1)
+    with pytest.raises(fp.DimensionMismatch):
+        fp.gaussian_terms(seed, seed_from(0.5 * np.eye(3)), 10)
+    monkeypatch.setattr(gaussian, "_BUDGET", 5)
+    with pytest.raises(fp.GuardExceeded) as stream:
+        fp.gaussian_terms(seed, seed, 20)
+    with pytest.raises(fp.GuardExceeded) as element:
+        fp.gaussian_series(seed, 20)
+    assert str(stream.value) == str(element.value)

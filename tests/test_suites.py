@@ -21,6 +21,7 @@ CHECKS = {
         ("takagi_reconstruction", 1e-10),
         ("norm_sq_series_vs_closed", 1e-08),
         ("scaled_pairing_vs_closed", 1e-08),
+        ("stream_terms_vs_element_terms", 1e-12),
         ("quadratic_correspondence_roundtrip", 1e-12),
         ("det_sqrt_square_identity", 1e-10),
         ("det_sqrt_segment_continuity", 1e-08),
