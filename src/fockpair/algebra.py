@@ -18,9 +18,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, GuardExceeded, InsufficientHorizon
 
-# The oracles' weights: exact integers below this total degree, log-gamma above.
-_EXACT_DEGREE = 20
-
 # Size guards for the brute-force oracles.
 PERMANENT_GUARD = 8
 COPRODUCT_GUARD = 8
@@ -117,25 +114,30 @@ def _basis_pos(m: int, d: int) -> dict[tuple[int, ...], int]:
     return {D: i for i, D in enumerate(_basis(m, d))}
 
 
+def _root(n: int) -> float:
+    """The square root of the integer n >= 0, within an ulp.
+
+    math.sqrt rounds n to a float first, which overflows from 2^1024 up;
+    past 1000 bits the integer root, rounded once, stands in for it.
+    """
+    return math.sqrt(n) if n.bit_length() <= 1000 else float(math.isqrt(n))
+
+
 def normalization(D: tuple[int, ...]) -> float:
     """sqrt(d_1! ... d_m!), the monomial-to-orthonormal conversion factor."""
-    lg = sum(math.lgamma(d + 1) for d in D)
-    if lg > 1400.0:  # sqrt would still overflow float range
-        raise OverflowError(f"normalization overflows for multi-index {D}")
-    if sum(D) <= _EXACT_DEGREE:
-        return math.sqrt(math.prod(math.factorial(d) for d in D))
-    return math.exp(0.5 * lg)
+    square = 1
+    for d in D:
+        # past 2047 bits the root would leave the float range; 2048! is far
+        # past it, so no larger factorial is ever formed
+        square *= math.factorial(min(d, 2048))
+        if square.bit_length() > 2047:
+            raise OverflowError(f"normalization overflows for multi-index {D}")
+    return _root(square)
 
 
 def _sqrt_multibinom(D: tuple[int, ...], E: tuple[int, ...]) -> float:
-    # sqrt((D+E)! / (D! E!)) as a product of per-coordinate binomials
-    if sum(D) + sum(E) <= _EXACT_DEGREE:
-        return math.sqrt(math.prod(math.comb(d + e, d) for d, e in zip(D, E)))
-    lg = sum(
-        math.lgamma(d + e + 1) - math.lgamma(d + 1) - math.lgamma(e + 1)
-        for d, e in zip(D, E)
-    )
-    return math.exp(0.5 * lg)
+    # sqrt((D+E)! / (D! E!)), the root of the product of per-coordinate binomials
+    return _root(math.prod(math.comb(d + e, d) for d, e in zip(D, E)))
 
 
 class _Layout:
@@ -441,14 +443,9 @@ def embed_product(vectors, dim: int | None = None) -> GradedElement:
 
 
 def _binomial_roots(e: int, n: int) -> np.ndarray:
-    """math.sqrt(C(i + e, e)) for 0 <= i <= n, of the exact binomials.
-
-    math.sqrt rounds an integer to a float first, which overflows from 2^1024
-    up; past 1000 bits the integer root, rounded once, stands in for it.
-    """
-    return _grown(("binomial_roots", e), n, lambda start, stop: np.array([
-        math.sqrt(c) if c.bit_length() <= 1000 else float(math.isqrt(c))
-        for c in (math.comb(i + e, e) for i in range(start, stop))]))
+    """_root(C(i + e, e)) for 0 <= i <= n, of the exact binomials."""
+    return _grown(("binomial_roots", e), n, lambda start, stop: np.array(
+        [_root(math.comb(i + e, e)) for i in range(start, stop)]))
 
 
 def _scatter_map(m: int, d_src: int, entry: tuple[int, ...], src: np.ndarray | None = None):

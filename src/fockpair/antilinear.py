@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import GradedElement
 from .errors import DimensionMismatch
+
+if TYPE_CHECKING:  # the quadratics import it when called, so takagi alone never loads algebra
+    from .algebra import GradedElement
 
 SYMMETRY_TOL = 1e-12
 _BOUNDARY_TOL = 1e-10
@@ -117,6 +120,8 @@ def quadratic_from_map(zmap: AntilinearSymmetricMap) -> GradedElement:
     and A_ii / 2 on the diagonal; converting to the orthonormal basis turns
     the diagonal into A_ii / sqrt(2).
     """
+    from .algebra import GradedElement
+
     i, j = _upper(zmap.dim)
     out = zmap.matrix[i, j]
     out[i == j] /= np.sqrt(2.0)

@@ -10,6 +10,11 @@ which keeps two degrees per series, and judge it with terms_report, the
 pairing rules of pairing_1, pairing_t and abel_pairing; `demo divergence`
 reads its ratios off the same stream.  The closed methods evaluate the
 determinant formulas and sum nothing.
+
+Each command imports the modules it runs when it runs: `detsqrt` loads
+detsqrt alone, `takagi` antilinear, the closed methods gaussian (with
+algebra, antilinear and detsqrt) and config, the series, Abel and demo
+commands pairing as well, and only `verify` loads the suites.
 """
 
 from __future__ import annotations
@@ -20,16 +25,20 @@ import json
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, antilinear, gaussian, suites
-from .detsqrt import det_sqrt, segment_branch_check
+from . import __version__
 from .errors import DomainError, FockpairError
-from .gaussian import GaussianSeed, gaussian_terms
-from .pairing import RegularizationConfig, divergence_demo, sequence_noninvariance_demo, terms_report
+
+if TYPE_CHECKING:  # the commands import what they run when they run
+    from .config import RegularizationConfig
+    from .gaussian import GaussianSeed
 
 _LOAD_SYMMETRY_TOL = 1e-10
+# suites.SUITE_NAMES + ("all",), written out so that the parser loads no suite
+_SUITE_CHOICES = ("algebra", "gaussian", "hoelder", "invariance", "counterexamples", "all")
 
 
 class CliInputError(Exception):
@@ -116,11 +125,22 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def _config_from_args(args) -> RegularizationConfig:
+    from .config import RegularizationConfig
+
     return RegularizationConfig(tolerance=args.tol, max_degree=args.max_degree)
 
 
 def _seed_from_file(path: str) -> GaussianSeed:
+    from .gaussian import GaussianSeed
+
     return GaussianSeed.from_matrix(load_matrix(path, "antilinear_symmetric"))
+
+
+def _terms_report(x_seed, y_seed, cfg, method: str = "series", t: float | None = None):
+    from .gaussian import gaussian_terms
+    from .pairing import terms_report
+
+    return terms_report(*gaussian_terms(x_seed, y_seed, cfg.max_degree), cfg, method, t)
 
 
 def _cmd_pair(args):
@@ -136,9 +156,11 @@ def _cmd_pair(args):
             raise ValueError("t must be in (0, 1]")
         # degree d carries t^(2d), as in the series method; the Gaussian
         # degrees are 2n, so the closed form is evaluated at parameter t^2
-        value = gaussian.pair_closed(sx, sy, t * t)
+        from .gaussian import pair_closed
+
+        value = pair_closed(sx, sy, t * t)
         return config | {"t": t}, {"value": value, "method": "closed_form"}, 0
-    rep = terms_report(*gaussian_terms(sx, sy, cfg.max_degree), cfg, args.method, args.t)
+    rep = _terms_report(sx, sy, cfg, args.method, args.t)
     return config, rep, _verdict_exit(rep.verdict)
 
 
@@ -147,20 +169,26 @@ def _cmd_norm(args):
     sz = _seed_from_file(args.z)
     config = {"method": args.method, "tolerance": cfg.tolerance, "max_degree": cfg.max_degree}
     if args.method == "closed":
-        return config, {"norm_sq": gaussian.norm_sq_closed(sz), "method": "closed_form"}, 0
-    rep = terms_report(*gaussian_terms(sz, sz, cfg.max_degree), cfg)
+        from .gaussian import norm_sq_closed
+
+        return config, {"norm_sq": norm_sq_closed(sz), "method": "closed_form"}, 0
+    rep = _terms_report(sz, sz, cfg)
     return config, rep, _verdict_exit(rep.verdict)
 
 
 def _cmd_verify(args):
-    checks = suites.run_suite(args.suite, args.seed)
+    from .suites import run_suite
+
+    checks = run_suite(args.suite, args.seed)
     passed = all(c.passed for c in checks)
     return {"suite": args.suite, "seed": args.seed}, {"checks": checks, "passed": passed}, 0 if passed else 1
 
 
 def _cmd_takagi(args):
-    zmap = antilinear.AntilinearSymmetricMap(load_matrix(args.z, "antilinear_symmetric"))
-    fac = antilinear.takagi(zmap)
+    from .antilinear import AntilinearSymmetricMap, siegel_class, takagi
+
+    zmap = AntilinearSymmetricMap(load_matrix(args.z, "antilinear_symmetric"))
+    fac = takagi(zmap)
     recon = float(np.abs(fac.reconstruct() - zmap.matrix).max())
     unit = float(np.abs(fac.unitary.conj().T @ fac.unitary - np.eye(zmap.dim)).max())
     norm = max(0.0, float(fac.values[0]))  # the largest singular value; a zero map may read -0.0
@@ -170,12 +198,14 @@ def _cmd_takagi(args):
         "reconstruction_residual": recon,
         "unitarity_residual": unit,
         "operator_norm": norm,
-        "siegel_membership": antilinear.siegel_class(norm),
+        "siegel_membership": siegel_class(norm),
     }
     return {"file": args.z}, result, 0
 
 
 def _cmd_detsqrt(args):
+    from .detsqrt import det_sqrt, segment_branch_check
+
     mat = load_matrix(args.matrix)
     value = det_sqrt(mat)
     jump, continuation = segment_branch_check(mat)
@@ -189,6 +219,8 @@ def _cmd_detsqrt(args):
 
 
 def _cmd_demo(args):
+    from .pairing import divergence_demo, sequence_noninvariance_demo
+
     if args.which == "sequence-noninvariance":
         before, after = sequence_noninvariance_demo()
         result = {"before_swap": before, "after_swap": after}
@@ -227,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_norm)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=suites.SUITE_NAMES + ("all",), required=True)
+    p.add_argument("--suite", choices=_SUITE_CHOICES, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 

@@ -83,6 +83,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import GradedElement, _common_degrees, _gather, _layout, require_covered
+from .config import RegularizationConfig
 from .errors import DimensionMismatch
 
 _DIVERGENCE_WINDOW = 20
@@ -112,27 +113,6 @@ _HUGE = 1e300
 _SENTINEL = complex(_HUGE)
 # entries at or above this modulus are never candidates
 _USABLE = _HUGE / 10
-
-
-@dataclass(frozen=True)
-class RegularizationConfig:
-    """Tolerance and horizon of every series evaluation.
-
-    The verdict rules of all three pairings, and every route of the Abel
-    pairing, read the same two values.
-    """
-
-    tolerance: float = 1e-8
-    max_degree: int = 200
-
-    def __post_init__(self):
-        # an infinite tolerance certifies any epsilon value, a NaN one none
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
-        if not isinstance(self.max_degree, (int, np.integer)):
-            raise ValueError(f"max_degree must be an integer, got {self.max_degree!r}")
-        if self.max_degree < 0:
-            raise ValueError(f"max_degree must be >= 0, got {self.max_degree}")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ def test_normalization_values():
     assert fp.normalization((0, 0, 0)) == 1.0
     assert fp.normalization((2, 1)) == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert fp.normalization((4, 0, 3)) == pytest.approx(12.0, rel=1e-15)
-    # large-degree path stays finite and accurate against lgamma
+    # large degrees stay finite and agree with a log-gamma sum
     big = (30, 25, 14)
     expect = math.exp(0.5 * sum(math.lgamma(d + 1) for d in big))
     assert fp.normalization(big) == pytest.approx(expect, rel=1e-12)
@@ -322,6 +322,23 @@ def test_plan_weights_are_exact_roots_within_an_ulp():
             assert abs(w / _exact_root(square) - 1) <= 1e-15, (ent, key)
 
 
+def test_oracle_weights_are_exact_roots_at_every_degree():
+    # the oracle routes' weights were log-gamma sums above total degree 20,
+    # 1.1e-13 off the exact root at source degree 188, exponent 2
+    assert abs(algebra._sqrt_multibinom((188,), (2,)) / _exact_root(math.comb(190, 2)) - 1) <= 1e-15
+    for D, E in (((30, 25, 14), (2, 0, 1)), ((60, 60, 50), (1, 1, 1)), ((3, 600), (0, 600))):
+        square = math.prod(math.comb(d + e, e) for d, e in zip(D, E))
+        assert abs(algebra._sqrt_multibinom(D, E) / _exact_root(square) - 1) <= 1e-15
+    for D in ((30, 25, 14), (120,), (60, 60, 50), (300,)):
+        square = math.prod(math.factorial(d) for d in D)
+        assert abs(fp.normalization(D) / _exact_root(square) - 1) <= 1e-15
+    # 301! has 2050 bits, so its root would pass the float range; a huge
+    # exponent fails at once, before its factorial is formed
+    for D in ((301,), (0, 10**9)):
+        with pytest.raises(OverflowError, match="overflows"):
+            fp.normalization(D)
+
+
 def test_extreme_degree_product_stays_finite():
     # C(1200, 600) needs 1196 bits, past the float range math.sqrt converts to
     power = fp.GradedElement(1, {600: [1.0]}, 600)
@@ -591,7 +608,7 @@ def test_gaussian_truncations_multiply_like_exponentials():
     m = 2
     x = fp.random_symmetric(m, rng, norm=0.5)
     y = fp.random_symmetric(m, rng, norm=0.4)
-    cap = 30  # past _EXACT_DEGREE, where antidual_product's weights come from log-gamma sums
+    cap = 30
     ex = fp.gaussian_series(fp.GaussianSeed.from_map(x), cap=cap)
     ey = fp.gaussian_series(fp.GaussianSeed.from_map(y), cap=cap)
     combined = fp.AntilinearSymmetricMap(x.matrix + y.matrix)

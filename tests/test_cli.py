@@ -305,12 +305,33 @@ def test_console_script_installed():
     assert doc["version"] == fp.__version__
 
 
-def test_cli_import_leaves_scipy_out():
-    # numpy is the only dependency; importing scipy would double the CLI's start-up
-    # and builds no scatter plan, product layout or binomial-root table at import
-    code = ("import sys, fockpair.cli; from fockpair import algebra; assert 'scipy' not in sys.modules; "
-            "assert algebra._scatter_plan.cache_info().currsize == 0; assert algebra._product_layout.cache_info().currsize == 0; "
-            "assert not [key for key in algebra._grown_tables if key[0] == 'binomial_roots']")
+def test_cli_import_leaves_scipy_out(files):
+    # numpy is the only dependency; importing scipy would double the CLI's
+    # start-up.  Each command loads only the modules it runs, checked in this
+    # order as sys.modules only grows; the closed methods build no scatter
+    # plan, product layout or binomial-root table
+    runs = [
+        (["detsqrt", "--matrix", files["eye2"]], {"algebra", "antilinear", "gaussian", "pairing", "suites"}),
+        (["takagi", "--z", files["sigma2"]], {"algebra", "gaussian", "pairing", "suites"}),
+        (["pair", "--x", files["sigma2"], "--y", files["negsigma2"], "--method", "closed"], {"pairing", "suites"}),
+        (["norm", "--z", files["diag06"], "--method", "closed"], {"pairing", "suites"}),
+        (["pair", "--x", files["diag06"], "--y", files["diag06"], "--method", "series"], {"suites"}),
+        (["verify", "--suite", "hoelder"], set()),
+    ]
+    code = (f"import contextlib, io, sys\n"
+            f"def loaded(): return {{name.removeprefix('fockpair.') for name in sys.modules if name.startswith('fockpair.')}}\n"
+            f"import fockpair.cli\n"
+            f"assert loaded() == {{'cli', 'errors'}}, loaded()\n"
+            f"for argv, absent in {runs!r}:\n"
+            f"    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert fockpair.cli.main(argv) == 0, argv\n"
+            f"    assert not loaded() & absent, (argv, loaded() & absent)\n"
+            f"    if argv[-1] == 'closed':\n"
+            f"        from fockpair import algebra\n"
+            f"        assert algebra._scatter_plan.cache_info().currsize == 0\n"
+            f"        assert algebra._product_layout.cache_info().currsize == 0\n"
+            f"        assert not [key for key in algebra._grown_tables if key[0] == 'binomial_roots']\n"
+            f"assert 'suites' in loaded() and 'scipy' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fockpair import algebra, suites
+from fockpair import algebra, cli, suites
 from fockpair.algebra import basis_size
 
 CHECKS = {
@@ -55,6 +55,14 @@ def test_run_suite_passes_with_pinned_names(name):
     checks = suites.run_suite(name, 0)
     assert tuple((c.name, c.tol) for c in checks) == CHECKS[name]
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
+def test_cli_offers_the_pinned_suites():
+    # the parser writes the names out rather than load the suites
+    assert tuple(CHECKS) == suites.SUITE_NAMES
+    assert cli._SUITE_CHOICES == suites.SUITE_NAMES + ("all",)
+    for name in cli._SUITE_CHOICES:
+        assert cli.build_parser().parse_args(["verify", "--suite", name]).suite == name
 
 
 def test_random_element_matches_degreewise_draws():
