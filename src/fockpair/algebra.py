@@ -209,6 +209,8 @@ class GradedElement:
     def __init__(self, dim: int, components=None, max_degree: int = 0, truncated: bool = False):
         if dim < 1:
             raise DimensionMismatch("dim must be >= 1")
+        if max_degree < 0:
+            raise ValueError(f"max_degree must be >= 0, got {max_degree}")
         arrays = {}
         for d, arr in (components or {}).items():
             if d < 0 or d > max_degree:
@@ -342,6 +344,8 @@ def _horizon(a: GradedElement, b: GradedElement, cap: int | None = None) -> int:
     A truncated operand caps it at its own horizon (for a product this
     leaves out the other factor's lowest nonzero degree, conservatively).
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     known = max(a._max_degree, b._max_degree) if cap is None else min(cap, a._max_degree + b._max_degree)
     for x in (a, b):
         if x._truncated:
@@ -448,22 +452,38 @@ def _binomial_roots(e: int, n: int) -> np.ndarray:
         [_root(math.comb(i + e, e)) for i in range(start, stop)]))
 
 
-def _scatter_map(m: int, d_src: int, entry: tuple[int, ...], src: np.ndarray | None = None):
-    """Target positions and weights for multiplying degree d_src by v^entry.
+def _scatter_map(m: int, d_src: int, entry: tuple[int, ...], src: np.ndarray):
+    """Target positions and weights of the rows src, the degree-d_src basis, times v^entry.
 
-    src is the degree-d_src basis, _basis_rows(m, d_src), built here unless
-    the caller passes it.  D -> D + entry is injective, so the returned index
-    array has no repeats and a scatter through it adds to each target
-    position once.  Row D weighs sqrt((D + E)! / (D! E!)): the product, in
-    coordinate order, of sqrt(C(d_i + e_i, e_i)) over the i with e_i > 0,
-    each factor read from its exponent's shared table (_binomial_roots).
+    D -> D + entry is injective, so a scatter through the positions adds to
+    each target once.  Row r goes to r plus what _rank gains, and no moved
+    row is built: at coordinate c, with k = m - c and t, s the sums of D's
+    and entry's coordinates from c on, the gain is C(t + s + k - 1, k) -
+    C(t + k - 1, k), zero past entry's last nonzero coordinate; Pascal's
+    rule makes it C(t + k - 1, k - 1) for s = 1, and C(t + k, k - 1) more
+    for s = 2.  Row D weighs sqrt((D + E)! / (D! E!)), the product in
+    coordinate order of sqrt(C(d_i + e_i, e_i)) over the i with e_i > 0,
+    each read from its exponent's shared table (_binomial_roots).
     """
-    if src is None:
-        src = _basis_rows(m, d_src)
-    idx = _rank(src + np.array(entry, dtype=np.intp), d_src + sum(entry))
-    w = np.ones(len(src))
-    for i in np.flatnonzero(entry):
-        w *= _binomial_roots(entry[i], d_src)[src[:, i]]
+    on = [i for i, e in enumerate(entry) if e]
+    idx = np.arange(len(src))
+    if max(on, default=0):  # _rank never reads the first coordinate
+        s = sum(entry)
+        binom = _binomials(d_src + s + m - 1, m - 1)  # _rank's table for the target degree
+        tail = d_src - src[:, 0]
+        for c in range(1, on[-1] + 1):
+            s, k = s - entry[c - 1], m - c
+            if s > 2:
+                idx += binom[s + k - 1 :, k].take(tail) - binom[k - 1 :, k].take(tail)
+            else:
+                idx += binom[k - 1 :, k - 1].take(tail)
+                if s == 2:
+                    idx += binom[k:, k - 1].take(tail)
+            if c < on[-1]:
+                tail -= src[:, c]
+    w = _binomial_roots(entry[on[0]], d_src).take(src[:, on[0]]) if on else np.ones(len(src))
+    for i in on[1:]:
+        w *= _binomial_roots(entry[i], d_src).take(src[:, i])
     return idx, w
 
 
@@ -665,7 +685,8 @@ def symmetric_power_matrix(W: np.ndarray, d: int) -> np.ndarray:
     prod_i (W v_i)^{e_i} / sqrt(E!).  It is built degree by degree: with i
     the first nonzero coordinate of E, column(E) = (W v_i) column(E - e_i)
     / sqrt(e_i), and multiplying by W v_i = sum_j W_ji v_j sends the basis
-    vector of D to sum_j W_ji sqrt(d_j + 1) times that of D + e_j.
+    vector of D to sum_j W_ji sqrt(d_j + 1) times that of D + e_j, the move
+    _scatter_map tabulates for the entry e_j.
     """
     W = np.asarray(W, dtype=complex)
     m = W.shape[0]
@@ -682,6 +703,7 @@ def symmetric_power_matrix(W: np.ndarray, d: int) -> np.ndarray:
         # coefficient of v_j in W v_i / sqrt(e_i), one column per E
         coef = W[:, first] / np.sqrt(cols[np.arange(len(cols)), first])
         out = np.zeros((len(cols), len(cols)), dtype=complex)
-        for j in range(m):
-            out[_rank(src + unit[j], k)] += np.sqrt(src[:, j] + 1.0)[:, None] * prev * coef[j]
+        for j, e_j in enumerate(_basis(m, 1)):
+            idx, w = _scatter_map(m, k - 1, e_j, src)
+            out[idx] += w[:, None] * prev * coef[j]
     return out

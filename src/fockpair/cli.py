@@ -1,9 +1,5 @@
 """Command-line interface: matrix ingestion, pairings, verification suites.
 
-One JSON report per run goes to standard output; diagnostics go to standard
-error.  Exit codes: 0 success/converged, 1 malformed input or failed suite,
-2 divergence verdict, 3 undecided verdict, 4 domain violation.
-
 `pair --method series` (with or without --t), `pair --method abel` and
 `norm --method series` stream the pair's term vector with gaussian_terms,
 which keeps two degrees per series, and judge it with terms_report, the
@@ -39,6 +35,16 @@ if TYPE_CHECKING:  # the commands import what they run when they run
 _LOAD_SYMMETRY_TOL = 1e-10
 # suites.SUITE_NAMES + ("all",), written out so that the parser loads no suite
 _SUITE_CHOICES = ("algebra", "gaussian", "hoelder", "invariance", "counterexamples", "all")
+
+
+_DESCRIPTION = """\
+Pairings and norms of Gaussian elements exp(Z) on the graded symmetric algebra,
+as series with a convergence verdict or in closed form, and Takagi factors,
+square-rooted determinants, checks and demos; one JSON report per run.
+
+exit codes: 0 success or converged verdict, 1 malformed input or failed suite,
+2 divergence verdict, 3 undecided verdict, 4 domain violation
+"""
 
 
 class CliInputError(Exception):
@@ -241,7 +247,7 @@ def _add_series_flags(p) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="fockpair", description=__doc__)
+    ap = _Parser(prog="fockpair", description=_DESCRIPTION, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("pair", help="pair two Gaussian elements")

@@ -25,10 +25,10 @@ class RegularizationConfig:
     max_degree: int = 200
 
     def __post_init__(self):
-        # an infinite tolerance certifies any epsilon value, a NaN one none
-        if not 0 < self.tolerance < math.inf:
+        # an infinite tolerance certifies any epsilon value, a NaN one none, True passes as 1
+        if isinstance(self.tolerance, (bool, np.bool_)) or not 0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
-        if not isinstance(self.max_degree, (int, np.integer)):
+        if isinstance(self.max_degree, bool) or not isinstance(self.max_degree, (int, np.integer)):
             raise ValueError(f"max_degree must be an integer, got {self.max_degree!r}")
         if self.max_degree < 0:
             raise ValueError(f"max_degree must be >= 0, got {self.max_degree}")

@@ -11,9 +11,8 @@ from .algebra import (
     GradedElement,
     _basis,
     _basis_rows,
-    _binomial_roots,
-    _binomials,
     _layout,
+    _scatter_map,
     basis_size,
     symmetric_product,
     vacuum,
@@ -119,40 +118,6 @@ def gaussian_series(seed: GaussianSeed, cap: int = DEFAULT_CAP) -> GradedElement
     return GradedElement._fresh(m, layout, buf, cap, grows)
 
 
-def _quadratic_scatter(m: int, d: int, live: list[int]):
-    """Where each degree d - 2 coefficient goes, and its weight, for each live entry v_i v_j of zeta.
-
-    Yields (e, at, w) for each e in live, an index into _basis(m, 2): row S
-    of degree d - 2 times v_i v_j lands on S + e_i + e_j at position at[S]
-    of degree d with weight w[S] = sqrt((S + E)! / (S! E!)), bit for bit
-    _scatter_map's.  The positions come without building the moved rows:
-    _rank adds C(tail_k + k - 1, k) over the sums tail_k of the last k
-    coordinates, and adding e_c raises tail_k by one for k >= m - c, which
-    Pascal's rule turns into C(tail_k + k - 1, k - 1), and a second raise
-    into C(tail_k + k, k - 1) more.  v_0^2 moves no row, as _rank never
-    reads the first coordinate.
-    """
-    rows = _basis_rows(m, d - 2)
-    binom = _binomials(d + m - 2, max(m - 2, 0))
-    entries = _basis(m, 2)
-    for e in live:
-        i, j = (c for c, x in enumerate(entries[e]) for _ in range(x))  # e = e_i + e_j, i <= j
-        if j == 0:
-            at = slice(0, len(rows))
-        else:
-            at = np.arange(len(rows))
-            tail = np.full(len(rows), d - 2)
-            for c in range(1, j + 1):
-                tail -= rows[:, c - 1]  # now tail_k of S, k = m - c
-                k = m - c
-                at += binom[:, k - 1].take(tail + (k - 1))
-                if c <= i:
-                    at += binom[:, k - 1].take(tail + k)
-        w = _binomial_roots(2, d - 2)[rows[:, i]] if i == j else (
-            _binomial_roots(1, d - 2)[rows[:, i]] * _binomial_roots(1, d - 2)[rows[:, j]])
-        yield e, at, w
-
-
 def gaussian_terms(x_seed: GaussianSeed, y_seed: GaussianSeed, cap: int = DEFAULT_CAP):
     """Terms a_d = <phi_d | psi_d> of phi = exp(X) and psi = exp(Y) up to degree cap, and the finite flag.
 
@@ -199,13 +164,16 @@ def gaussian_terms(x_seed: GaussianSeed, y_seed: GaussianSeed, cap: int = DEFAUL
 def _next_degree(m: int, d: int, zetas, live: list[int], prev: list[np.ndarray]) -> list[np.ndarray]:
     """Degree d of each series, zeta / n times its degree d - 2 with n = d / 2.
 
-    Each live entry adds its scaled weights times the coefficients, entry
+    Each live entry adds its scaled weights times the coefficients through
+    _scatter_map's table, made for this degree and kept by no cache, entry
     after entry in _basis(m, 2) order, as symmetric_product scatters zeta's
     entries.
     """
     factors = [z * (1.0 / (d // 2)) for z in zetas]
     cur = [np.zeros(basis_size(m, d), dtype=complex) for _ in zetas]
-    for e, at, w in _quadratic_scatter(m, d, live):
+    rows, entries = _basis_rows(m, d - 2), _basis(m, 2)
+    for e in live:
+        at, w = _scatter_map(m, d - 2, entries[e], rows)
         for f, p, c in zip(factors, prev, cur):
             if f[e]:
                 v = f[e] * w

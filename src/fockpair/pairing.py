@@ -632,6 +632,8 @@ def hoelder_pairing_check(phi: GradedElement, psi: GradedElement, p: float, q: f
 def sequence_element(values) -> GradedElement:
     """One-dimensional truncated series from a scalar-per-degree sequence."""
     vals = np.array(np.ravel(values), dtype=complex)  # a copy the element owns
+    if not len(vals):
+        raise ValueError("sequence_element needs at least one value, the degree-zero one")
     return GradedElement._fresh(1, _layout(1, tuple(range(len(vals)))), vals, len(vals) - 1, True)
 
 

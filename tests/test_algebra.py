@@ -265,7 +265,9 @@ def test_scatter_tables_match_loop_reference():
     grid[5] = (range(25), [(0, 0, 0, 0, 1), (0, 1, 0, 1, 0), (2, 0, 1, 0, 0)])
     # the degree-2 entries of a Gaussian series further out, whose factor
     # tables the lower source degrees have already grown
-    extra = {3: (range(46, 81, 6), fp.enumerate_basis(3, 2)), 4: ((30, 39, 48), fp.enumerate_basis(4, 2))}
+    extra = {3: (range(46, 81, 6), fp.enumerate_basis(3, 2)), 4: ((30, 39, 48), fp.enumerate_basis(4, 2)),
+             # raises on the last coordinates, which the position rule reaches last
+             5: ((0, 1, 6, 13, 20), [(0, 0, 0, 0, 2), (1, 0, 0, 0, 1), (0, 0, 0, 1, 1)])}
     for degrees, entries in list(grid.values()) + list(extra.values()):
         for d_src in degrees:
             _assert_reference_plan(plan, len(entries[0]), d_src, entries)
@@ -370,7 +372,7 @@ def _reference_symmetric_product(a, b, cap=64):
                 entries, spread, d_spread = arr_b, arr_a, da
             ent_basis = algebra._basis(m, da + db - d_spread)
             for k in np.flatnonzero(entries):
-                idx, w = algebra._scatter_map(m, d_spread, ent_basis[k])
+                idx, w = algebra._scatter_map(m, d_spread, ent_basis[k], algebra._basis_rows(m, d_spread))
                 tgt[idx] += entries[k] * w * spread
     truncated = a.truncated or b.truncated or dropped
     horizon = min(cap, a.max_degree + b.max_degree)
@@ -578,6 +580,14 @@ def test_product_routes_agree_on_horizon_and_truncation():
     assert [(p.max_degree, p.truncated) for p in (fp.symmetric_product(a, t), fp.antidual_product(a, t))] == [(2, True)] * 2
 
 
+def test_products_reject_a_negative_cap():
+    a = fp.from_vector([1.0, 2.0])
+    for prod in (fp.symmetric_product, fp.antidual_product):
+        with pytest.raises(ValueError, match="cap"):
+            prod(a, a, cap=-1)
+        assert prod(a, a, cap=0).max_degree == 0, prod.__name__
+
+
 def test_product_of_truncations_knows_only_their_horizon():
     # exp(0.3 v^2 / 2) exp(0.4 v^2 / 2) = exp(0.7 v^2 / 2), but two truncations
     # at degree 20 give the product's coefficients only up to degree 20
@@ -666,6 +676,13 @@ def test_component_shape_validation():
         fp.GradedElement(2, {1: np.zeros(3)}, 1)
     with pytest.raises(ValueError):
         fp.GradedElement(2, {3: np.zeros(4)}, 2)
+
+
+def test_element_rejects_a_negative_horizon():
+    for degree in (-1, -3):
+        with pytest.raises(ValueError, match="max_degree"):
+            fp.GradedElement(2, {}, max_degree=degree, truncated=True)
+    assert fp.GradedElement(2, {}, max_degree=0, truncated=True).degrees() == []
 
 
 def test_public_constructor_never_aliases_caller_arrays():

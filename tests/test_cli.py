@@ -277,6 +277,18 @@ def test_usage_errors_exit_one(capsys):
         capsys.readouterr()
 
 
+def test_help_states_exit_codes_not_internals(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    for code in ("exit codes", "0 success", "1 malformed input", "2 divergence verdict",
+                 "3 undecided verdict", "4 domain violation"):
+        assert code in out
+    # implementation notes for readers of the code stay out of the help
+    assert "gaussian_terms" not in out and "import" not in out and "modules" not in out
+
+
 def test_load_matrix_symmetrizes_rounded_input(tmp_path):
     a = np.array([[0.0, 0.3 + 1e-12], [0.3, 0.0]], dtype=complex)
     path = write_matrix(tmp_path / "round.json", a)

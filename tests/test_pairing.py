@@ -98,6 +98,14 @@ def test_dim1_term_pass_equals_vdot_bits():
             assert not np.signbit(got.imag[finite]).any() and not got.imag[finite].any()
 
 
+def test_sequence_element_rejects_an_empty_sequence():
+    for empty in ([], np.zeros(0), np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="at least one value"):
+            fp.sequence_element(empty)
+    one = fp.sequence_element([2.0])
+    assert (one.max_degree, one.truncated, one.degrees()) == (0, True, [0])
+
+
 def test_sequence_elements_hold_one_buffer_each():
     # 100 elements of horizon 200 hold 100 x 201 coefficients and one shared
     # layout: about 0.33 MB, where per-degree arrays took 3.5 MB
@@ -605,9 +613,13 @@ def test_regularization_config_validation(tmp_path, capsys):
     for tol in (0.0, -1e-8, math.inf, math.nan):
         with pytest.raises(ValueError, match="tolerance"):
             fp.RegularizationConfig(tolerance=tol)
-    for degree in (-1, 20.5, 20.0, "20"):
+    for degree in (-1, 20.5, 20.0, "20", True, np.bool_(True)):
         with pytest.raises(ValueError, match="max_degree"):
             fp.RegularizationConfig(max_degree=degree)
+    # a bool would pass as 1 in either field
+    for tol in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="tolerance"):
+            fp.RegularizationConfig(tolerance=tol)
     assert fp.RegularizationConfig(max_degree=0).max_degree == 0
     assert fp.RegularizationConfig(max_degree=np.int64(20)).max_degree == 20
     # sum_n (-1)^n (n + 1) diverges; an infinite tolerance would let epsilon

@@ -7,11 +7,15 @@ its `src/` directory.  The `sweep-warm` (600 Gaussian pairs) and `verdict`
 (400 sequences) input sets are fixed, and both are visited in the order
 seed 1 gives.  Each operation's result contributes one line,
 `f"{name} {i} {result!r}\\n"`, so the digest changes when any value, verdict,
-rule, residual or report field changes by a single bit.  One line per
-workload, `sweep-warm <md5>` and `verdict <md5>`, digests that workload's
-lines alone, so a moved digest names the workload whose reports moved; the
-last line is the digest of both.  A change meant to keep every result
-prints the same last line before and after.
+rule, residual or report field changes by a single bit.  The `stream`
+lines are the CLI's route on the same 600 pairs: `gaussian_terms(x, y, cap)`
+on each `sweep-warm` operation's two matrices and cap, one line
+`f"stream {i} {finite} {terms.tobytes().hex()}\\n"` per pair, so every bit
+of every term counts.  One line per set, `sweep-warm <md5>`, `verdict <md5>`
+and `stream <md5>`, digests that set's lines alone, so a moved digest names
+the route whose results moved; the last line is the digest of all of them.
+A change meant to keep every result prints the same last line before and
+after.  Compare two checkouts with one copy of this tool.
 
 With --lines it prints no digest but one line per pairing report,
 `workload i key verdict rule`, where key is the report's name in a
@@ -43,14 +47,24 @@ def results():
             yield workload.name, i, op.call()
 
 
+def stream_terms():
+    """(i, terms, finite) of gaussian_terms on each `sweep-warm` operation's pair, in order."""
+    from fockpair.gaussian import GaussianSeed, gaussian_terms
+
+    for i, op in enumerate(SweepWarm().ops(ORDER_SEED)):
+        a, b, cap, _ = op.call.args
+        yield i, *gaussian_terms(GaussianSeed.from_matrix(a), GaussianSeed.from_matrix(b), cap)
+
+
 def digests() -> tuple[dict[str, str], str]:
-    """md5 of each workload's report lines, and of all of them in order."""
-    both, each = hashlib.md5(), {}
-    for name, i, result in results():
-        line = f"{name} {i} {result!r}\n".encode()
-        each.setdefault(name, hashlib.md5()).update(line)
-        both.update(line)
-    return {name: md5.hexdigest() for name, md5 in each.items()}, both.hexdigest()
+    """md5 of each set's lines, and of all of them in order."""
+    lines = [(name, f"{name} {i} {result!r}\n") for name, i, result in results()]
+    lines += [("stream", f"stream {i} {finite} {terms.tobytes().hex()}\n") for i, terms, finite in stream_terms()]
+    every, each = hashlib.md5(), {}
+    for name, line in lines:
+        each.setdefault(name, hashlib.md5()).update(line.encode())
+        every.update(line.encode())
+    return {name: md5.hexdigest() for name, md5 in each.items()}, every.hexdigest()
 
 
 def report_lines():
