@@ -35,19 +35,28 @@ def _basis_rows(m: int, d: int) -> np.ndarray:
     The order is descending lexicographic: the first coordinate runs from d
     down to 0, and behind each value d - k come the degree-k rows over the
     remaining m - 1 variables in their own order.  The array is new and kept
-    by no cache; the (m - 1)-variable arrays it stacks come from _basis_array.
+    by no cache.  It is filled one coordinate at a time: each prefix of
+    coordinates 0 to c - 1, whose rest adds up to t, splits into t + 1
+    prefixes, one per value t, ..., 0 of coordinate c, and each fills as many
+    rows as the m - c - 1 coordinates after c have monomials of the degree
+    left over.
     """
-    if m == 1:
-        return np.array([[d]], dtype=np.intp)
-    rest = np.concatenate([_basis_array(m - 1, k) for k in range(d + 1)])
-    return np.column_stack((d - rest.sum(axis=1), rest))
-
-
-@lru_cache(maxsize=None)
-def _basis_array(m: int, d: int) -> np.ndarray:
-    """_basis_rows(m, d), cached and read-only."""
-    out = _basis_rows(m, d)
-    out.flags.writeable = False
+    out = np.empty((basis_size(m, d), m), dtype=np.intp)
+    rest = np.array([d])  # per prefix, what the coordinates from c on add up to
+    for c in range(m - 1):
+        k = m - c - 1
+        counts = rest + 1
+        # the prefixes of coordinates 0 to c: C(d + c + 1, c + 1) of them;
+        # in place, as the last level is as long as the basis
+        after = np.arange(math.comb(d + c + 1, c + 1))
+        after -= (counts.cumsum() - counts).repeat(counts)
+        col = rest.repeat(counts)
+        col -= after
+        if k > 1:  # each prefix's block of rows: basis_size(k, after)
+            col = col.repeat(_binomials(d + k - 1, k - 1)[k - 1 :, k - 1].take(after))
+        out[:, c] = col
+        rest = after
+    out[:, m - 1] = rest
     return out
 
 
@@ -452,38 +461,64 @@ def _binomial_roots(e: int, n: int) -> np.ndarray:
         [_root(math.comb(i + e, e)) for i in range(start, stop)]))
 
 
-def _scatter_map(m: int, d_src: int, entry: tuple[int, ...], src: np.ndarray):
-    """Target positions and weights of the rows src, the degree-d_src basis, times v^entry.
+def _scatter_map(m: int, d_src: int, entries, src: np.ndarray):
+    """Target positions and weights of the rows src, the degree-d_src basis, times each v^E in entries.
 
-    D -> D + entry is injective, so a scatter through the positions adds to
-    each target once.  Row r goes to r plus what _rank gains, and no moved
-    row is built: at coordinate c, with k = m - c and t, s the sums of D's
-    and entry's coordinates from c on, the gain is C(t + s + k - 1, k) -
-    C(t + k - 1, k), zero past entry's last nonzero coordinate; Pascal's
-    rule makes it C(t + k - 1, k - 1) for s = 1, and C(t + k, k - 1) more
-    for s = 2.  Row D weighs sqrt((D + E)! / (D! E!)), the product in
-    coordinate order of sqrt(C(d_i + e_i, e_i)) over the i with e_i > 0,
-    each read from its exponent's shared table (_binomial_roots).
+    Returns two (len(entries), len(src)) arrays, row k the table of
+    entries[k].  D -> D + E is injective, so a scatter through a row's
+    positions adds to each target once.  Row r goes to r plus what _rank
+    gains, and no moved row is built: at coordinate c, with k = m - c and
+    t, s the sums of D's and E's coordinates from c on, the gain is
+    C(t + s + k - 1, k) - C(t + k - 1, k), zero past E's last nonzero
+    coordinate: one read per row from a table of that difference for
+    t = 0, ..., d_src.  Row D weighs sqrt((D + E)! / (D! E!)),
+    the product in coordinate order of sqrt(C(d_i + e_i, e_i)) over the i
+    with e_i > 0, each read from its exponent's shared table
+    (_binomial_roots).
+
+    The entries share what hangs on the source rows alone: coordinate by
+    coordinate, one tail t, one gain per s and one root column per exponent,
+    each dropped once the next coordinate starts.
     """
-    on = [i for i, e in enumerate(entry) if e]
-    idx = np.arange(len(src))
-    if max(on, default=0):  # _rank never reads the first coordinate
-        s = sum(entry)
-        binom = _binomials(d_src + s + m - 1, m - 1)  # _rank's table for the target degree
+    n = len(src)
+    idx = np.empty((len(entries), n), dtype=np.intp)
+    idx[...] = np.arange(n)
+    rests = [sum(E) - E[0] for E in entries]  # what each entry raises from coordinate 1 on
+    if any(rests):  # _rank never reads the first coordinate
+        binom = _binomials(d_src + max(map(sum, entries)) + m - 1, m - 1)  # _rank's table for the target degree
         tail = d_src - src[:, 0]
-        for c in range(1, on[-1] + 1):
-            s, k = s - entry[c - 1], m - c
-            if s > 2:
-                idx += binom[s + k - 1 :, k].take(tail) - binom[k - 1 :, k].take(tail)
-            else:
-                idx += binom[k - 1 :, k - 1].take(tail)
-                if s == 2:
-                    idx += binom[k:, k - 1].take(tail)
-            if c < on[-1]:
-                tail -= src[:, c]
-    w = _binomial_roots(entry[on[0]], d_src).take(src[:, on[0]]) if on else np.ones(len(src))
-    for i in on[1:]:
-        w *= _binomial_roots(entry[i], d_src).take(src[:, i])
+        for c in range(1, m):
+            k, gains = m - c, {}
+            for r, s in enumerate(rests):
+                if not s:  # past the entry's last nonzero coordinate
+                    continue
+                gain = gains.get(s)
+                if gain is None:
+                    gain = gains[s] = (binom[s + k - 1 : s + k + d_src, k] - binom[k - 1 : k + d_src, k]).take(tail)
+                row = idx[r]  # a view: row += writes in place, idx[r] += would copy it back
+                row += gain
+                rests[r] = s - entries[r][c]
+            if not any(rests):
+                break
+            tail -= src[:, c]
+        del tail, gains  # the weights need neither, and the source rows can be long
+    w = np.empty((len(entries), n))
+    for c in range(m):
+        roots = {}
+        for r, E in enumerate(entries):
+            e = E[c]
+            if not e:
+                if c == m - 1 and not any(E):  # the degree-0 entry: no factor
+                    w[r] = 1.0
+                continue
+            root = roots.get(e)
+            if root is None:
+                root = roots[e] = _binomial_roots(e, d_src).take(src[:, c])
+            row = w[r]
+            if any(E[:c]):
+                row *= root
+            else:  # the first factor
+                row[...] = root
     return idx, w
 
 
@@ -507,22 +542,18 @@ def _scatter_plan(m: int, d_src: int, d_ent: int, nonzero: bytes | None):
 
     nonzero is the boolean mask of the entries that take part, as bytes, or
     None for all of them.  Row r of the returned (idx, w) is _scatter_map's
-    table for the r-th of those entries.  A pair that scatters as one stack
-    gets two 2-D arrays; any other keeps the tables as made, in tuples.
-    Copied into one large array, they would free as much memory as the plan
-    keeps, and the allocator would fault it back in for the next plan.
+    table for the r-th of those entries: one call builds them all, straight
+    into two read-only 2-D arrays, from a source basis built for it alone
+    and kept by no cache.  A pair that scatters as one stack gets the arrays;
+    any other gets tuples of their rows, which the product reads one by one.
     """
-    src = _basis_rows(m, d_src)
     entries = _basis(m, d_ent)
     if nonzero is not None:
         entries = list(itertools.compress(entries, np.frombuffer(nonzero, dtype=bool)))
-    idx, w = zip(*(_scatter_map(m, d_src, entry, src) for entry in entries))
-    if _stacked(len(entries), len(src)):
-        idx, w = np.stack(idx), np.stack(w)
-        idx.flags.writeable = w.flags.writeable = False
-    else:
-        for table in idx + w:
-            table.flags.writeable = False
+    idx, w = _scatter_map(m, d_src, entries, _basis_rows(m, d_src))
+    idx.flags.writeable = w.flags.writeable = False
+    if not _stacked(len(entries), basis_size(m, d_src)):
+        idx, w = tuple(idx), tuple(w)
     return idx, w
 
 
@@ -580,7 +611,9 @@ def symmetric_product(a: GradedElement, b: GradedElement, cap: int = 64, *,
                 nonzero, entries = mask.tobytes(), entries[mask]
             idx, w = _scatter_plan(m, d_spread, da + db - d_spread, nonzero)
             if _stacked(nnz, len(spread)):
-                np.add.at(tgt, idx.ravel(), (entries[:, None] * w * spread).ravel())
+                v = entries[:, None] * w
+                v *= spread
+                np.add.at(tgt, idx.ravel(), v.ravel())
             else:
                 for k in range(nnz):
                     np.add.at(tgt, idx[k], entries[k] * w[k] * spread)
@@ -686,7 +719,8 @@ def symmetric_power_matrix(W: np.ndarray, d: int) -> np.ndarray:
     the first nonzero coordinate of E, column(E) = (W v_i) column(E - e_i)
     / sqrt(e_i), and multiplying by W v_i = sum_j W_ji v_j sends the basis
     vector of D to sum_j W_ji sqrt(d_j + 1) times that of D + e_j, the move
-    _scatter_map tabulates for the entry e_j.
+    _scatter_map tabulates for the entry e_j.  Each step's column basis is
+    the next step's source basis.
     """
     W = np.asarray(W, dtype=complex)
     m = W.shape[0]
@@ -696,14 +730,16 @@ def symmetric_power_matrix(W: np.ndarray, d: int) -> np.ndarray:
         raise ValueError("need d >= 0")
     unit = np.eye(m, dtype=np.intp)
     out = np.ones((1, 1), dtype=complex)
+    src = _basis_rows(m, 0)
     for k in range(1, d + 1):
-        src, cols = _basis_array(m, k - 1), _basis_array(m, k)
+        cols = _basis_rows(m, k)
         first = (cols != 0).argmax(axis=1)
         prev = out[:, _rank(cols - unit[first], k - 1)]
         # coefficient of v_j in W v_i / sqrt(e_i), one column per E
         coef = W[:, first] / np.sqrt(cols[np.arange(len(cols)), first])
         out = np.zeros((len(cols), len(cols)), dtype=complex)
-        for j, e_j in enumerate(_basis(m, 1)):
-            idx, w = _scatter_map(m, k - 1, e_j, src)
-            out[idx] += w[:, None] * prev * coef[j]
+        idx, w = _scatter_map(m, k - 1, _basis(m, 1), src)
+        for j in range(m):
+            out[idx[j]] += w[j][:, None] * prev * coef[j]
+        src = cols
     return out

@@ -173,7 +173,8 @@ def _next_degree(m: int, d: int, zetas, live: list[int], prev: list[np.ndarray])
     cur = [np.zeros(basis_size(m, d), dtype=complex) for _ in zetas]
     rows, entries = _basis_rows(m, d - 2), _basis(m, 2)
     for e in live:
-        at, w = _scatter_map(m, d - 2, entries[e], rows)
+        at, w = _scatter_map(m, d - 2, entries[e : e + 1], rows)
+        at, w = at[0], w[0]  # np.add.at is far slower through a (1, n) index than a flat one
         for f, p, c in zip(factors, prev, cur):
             if f[e]:
                 v = f[e] * w

@@ -8,6 +8,7 @@ both against small hand-computed values.
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ def _loop_scatter_map(m, d_src, entry):
 def test_rank_is_basis_position():
     for m in range(1, 6):
         for d in range(0, 31, 3):
-            rows = algebra._basis_array(m, d)
+            rows = algebra._basis_rows(m, d)
             assert np.array_equal(algebra._rank(rows, d), np.arange(len(rows)))
             got = [tuple(r) for r in rows.tolist()]
             assert got == sorted(set(got), reverse=True) == fp.enumerate_basis(m, d)
@@ -218,6 +219,22 @@ def test_rank_is_basis_position():
         table = algebra._binomials(n, k)
         assert not table.flags.writeable
         assert table.tolist() == [[math.comb(i, j) for j in range(k + 1)] for i in range(n + 1)]
+
+
+def test_basis_rows_are_fresh_graded_lex_arrays():
+    for m in range(1, 7):
+        # m = 6 up to degree 24, as its degree-40 basis alone has 1.2 million rows
+        for d in range(25 if m == 6 else 41):
+            rows = algebra._basis_rows(m, d)
+            assert rows.dtype == np.intp and rows.shape == (fp.basis_size(m, d), m)
+            assert rows.min() >= 0 and (rows.sum(axis=1) == d).all()
+            # strictly descending lexicographic: rows read as base-(d + 1) numbers fall
+            keys = rows @ (d + 1) ** np.arange(m - 1, -1, -1)
+            assert (np.diff(keys) < 0).all(), (m, d)
+            again = algebra._basis_rows(m, d)
+            assert rows.flags.writeable and not np.shares_memory(rows, again)
+            rows[...] = -1
+            assert np.array_equal(algebra._basis_rows(m, d), again)
 
 
 def test_grown_table_fills_only_new_rows():
@@ -372,7 +389,7 @@ def _reference_symmetric_product(a, b, cap=64):
                 entries, spread, d_spread = arr_b, arr_a, da
             ent_basis = algebra._basis(m, da + db - d_spread)
             for k in np.flatnonzero(entries):
-                idx, w = algebra._scatter_map(m, d_spread, ent_basis[k], algebra._basis_rows(m, d_spread))
+                (idx,), (w,) = algebra._scatter_map(m, d_spread, ent_basis[k : k + 1], algebra._basis_rows(m, d_spread))
                 tgt[idx] += entries[k] * w * spread
     truncated = a.truncated or b.truncated or dropped
     horizon = min(cap, a.max_degree + b.max_degree)
@@ -501,13 +518,11 @@ def test_gaussian_series_matches_reference_power_loop_bits(monkeypatch):
 
 
 def test_scatter_plans_hold_only_their_rows(monkeypatch):
-    cached = algebra._basis_array
-    arrays, rows = set(), []
-    monkeypatch.setattr(algebra, "_basis_array", lambda m, d: arrays.add((m, d)) or cached(m, d))
+    basis_rows, bases, rows = algebra._basis_rows, [], []
+    monkeypatch.setattr(algebra, "_basis_rows", lambda m, d: bases.append(weakref.ref(out := basis_rows(m, d))) or out)
     scatter_map = algebra._scatter_map
-    monkeypatch.setattr(algebra, "_scatter_map", lambda m, d_src, entry, src: rows.append((d_src, entry))
-                        or scatter_map(m, d_src, entry, src))
-    cached.cache_clear()
+    monkeypatch.setattr(algebra, "_scatter_map", lambda m, d_src, entries, src: rows.extend(
+        (d_src, entry) for entry in entries) or scatter_map(m, d_src, entries, src))
     algebra._scatter_plan.cache_clear()
     # a dense m = 3 series: vacuum x zeta, zeta x zeta / 2, then zeta spread
     # over each higher power, one plan each
@@ -522,9 +537,9 @@ def test_scatter_plans_hold_only_their_rows(monkeypatch):
     assert algebra._scatter_plan.cache_info().hits == info.hits + len(keys)
     # 16 B per (source coefficient, nonzero entry)
     assert held == 16 * sum(fp.basis_size(3, d_ent) * fp.basis_size(3, d_src) for _, d_src, d_ent, _ in keys)
-    # the plans read source bases that no cache keeps: only the arrays of
-    # fewer variables they are stacked from stay
-    assert max(m for m, _ in arrays) == 2 and cached.cache_info().currsize == len(arrays)
+    # a plan build caches no basis array: every source basis the plans read
+    # is freed once its plan is built
+    assert len(bases) >= len(keys) and all(ref() is None for ref in bases)
     # conjugation(4) has 4 nonzero degree-2 entries of 10: the plans build a
     # row for each of them and none for the others
     rows.clear()
