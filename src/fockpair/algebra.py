@@ -60,11 +60,6 @@ def _basis_rows(m: int, d: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _basis(m: int, d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, _basis_rows(m, d).tolist()))
-
-
 # Read-only tables by key: the filled head of a larger array, whose spare room
 # takes the rows a larger n asks for
 _grown_tables: dict = {}
@@ -92,35 +87,16 @@ def _binomials(n: int, k: int) -> np.ndarray:
         [[math.comb(i, j) for j in range(k + 1)] for i in range(start, stop)], dtype=np.intp))
 
 
-def _rank(rows: np.ndarray, d: int) -> np.ndarray:
-    """Graded-lex positions of the degree-d multi-indices in rows.
-
-    Row D is preceded by the rows that agree with it up to some coordinate
-    and are larger there.  For the coordinate with k coordinates after it,
-    whose entries in D add up to t, the hockey-stick identity counts them as
-    C(t + k - 1, k) (combinatorial number system, Knuth TAOCP 7.2.1.3).  The
-    first coordinate is never read.
-    """
-    m = rows.shape[1]
-    binom = _binomials(d + m - 1, m - 1)
-    tail = np.zeros(len(rows), dtype=np.intp)
-    pos = np.zeros(len(rows), dtype=np.intp)
-    for k in range(1, m):
-        tail += rows[:, m - k]
-        pos += binom[k - 1 :, k].take(tail)
-    return pos
-
-
 def enumerate_basis(m: int, d: int) -> list[tuple[int, ...]]:
     """Multi-indices of degree d over m variables, graded-lex order."""
     if m < 1 or d < 0:
         raise ValueError("need m >= 1 and d >= 0")
-    return list(_basis(m, d))
+    return [tuple(D) for D in _basis_rows(m, d).tolist()]
 
 
-@lru_cache(maxsize=None)
-def _basis_pos(m: int, d: int) -> dict[tuple[int, ...], int]:
-    return {D: i for i, D in enumerate(_basis(m, d))}
+def _positions(m: int, d: int) -> dict[tuple[int, ...], int]:
+    """Position of each degree-d multi-index in enumerate_basis(m, d), for the oracles."""
+    return {D: i for i, D in enumerate(enumerate_basis(m, d))}
 
 
 def _root(n: int) -> float:
@@ -449,7 +425,7 @@ def embed_product(vectors, dim: int | None = None) -> GradedElement:
         key = tuple(D)
         acc[key] = acc.get(key, 0j) + coef
     out = np.zeros(basis_size(m, d), dtype=complex)
-    pos = _basis_pos(m, d)
+    pos = _positions(m, d)
     for D, coef in acc.items():
         out[pos[D]] = coef * normalization(D)
     return GradedElement(m, {d: out}, max_degree=d)
@@ -464,11 +440,15 @@ def _binomial_roots(e: int, n: int) -> np.ndarray:
 def _scatter_map(m: int, d_src: int, entries, src: np.ndarray):
     """Target positions and weights of the rows src, the degree-d_src basis, times each v^E in entries.
 
-    Returns two (len(entries), len(src)) arrays, row k the table of
-    entries[k].  D -> D + E is injective, so a scatter through a row's
-    positions adds to each target once.  Row r goes to r plus what _rank
-    gains, and no moved row is built: at coordinate c, with k = m - c and
-    t, s the sums of D's and E's coordinates from c on, the gain is
+    entries is a (K, m) integer array, one multi-index per row.  Returns two
+    (K, len(src)) arrays, row k the table of entries[k].  D -> D + E is
+    injective, so a scatter through a row's positions adds to each target
+    once.  Row D's graded-lex position counts the rows before it: at each
+    coordinate c > 0, with k = m - c and t the sum of D's coordinates from c
+    on, the C(t + k - 1, k) rows that agree with D before c and are larger
+    there (hockey-stick identity; combinatorial number system, Knuth TAOCP
+    7.2.1.3).  So row r goes to r plus a gain, and no moved row is built:
+    with s the sum of E's coordinates from c on, the gain at c is
     C(t + s + k - 1, k) - C(t + k - 1, k), zero past E's last nonzero
     coordinate: one read per row from a table of that difference for
     t = 0, ..., d_src.  Row D weighs sqrt((D + E)! / (D! E!)),
@@ -480,12 +460,12 @@ def _scatter_map(m: int, d_src: int, entries, src: np.ndarray):
     coordinate, one tail t, one gain per s and one root column per exponent,
     each dropped once the next coordinate starts.
     """
-    n = len(src)
+    n, entries = len(src), entries.tolist()
     idx = np.empty((len(entries), n), dtype=np.intp)
     idx[...] = np.arange(n)
     rests = [sum(E) - E[0] for E in entries]  # what each entry raises from coordinate 1 on
-    if any(rests):  # _rank never reads the first coordinate
-        binom = _binomials(d_src + max(map(sum, entries)) + m - 1, m - 1)  # _rank's table for the target degree
+    if any(rests):  # the first coordinate adds to no position
+        binom = _binomials(d_src + max(map(sum, entries)) + m - 1, m - 1)  # the positions' table for the target degree
         tail = d_src - src[:, 0]
         for c in range(1, m):
             k, gains = m - c, {}
@@ -547,9 +527,9 @@ def _scatter_plan(m: int, d_src: int, d_ent: int, nonzero: bytes | None):
     and kept by no cache.  A pair that scatters as one stack gets the arrays;
     any other gets tuples of their rows, which the product reads one by one.
     """
-    entries = _basis(m, d_ent)
+    entries = _basis_rows(m, d_ent)
     if nonzero is not None:
-        entries = list(itertools.compress(entries, np.frombuffer(nonzero, dtype=bool)))
+        entries = entries[np.frombuffer(nonzero, dtype=bool)]
     idx, w = _scatter_map(m, d_src, entries, _basis_rows(m, d_src))
     idx.flags.writeable = w.flags.writeable = False
     if not _stacked(len(entries), basis_size(m, d_src)):
@@ -665,20 +645,21 @@ def antidual_product(a: GradedElement, b: GradedElement, cap: int = 64) -> Grade
     degs_a, degs_b = a._nonzero_counts(), b._nonzero_counts()
     comps_a, comps_b = a.components, b.components
     horizon = _horizon(a, b, cap)
+    pos = {d: _positions(m, d) for d in set(degs_a).union(degs_b) if d <= horizon}
     comps: dict[int, np.ndarray] = {}
     for d in range(horizon + 1):
         if not any(da in degs_a and (d - da) in degs_b for da in range(d + 1)):
             continue
         out = np.zeros(basis_size(m, d), dtype=complex)
-        for i, D in enumerate(_basis(m, d)):
+        for i, D in enumerate(enumerate_basis(m, d)):
             total = 0j
             for B in itertools.product(*(range(di + 1) for di in D)):
                 da = sum(B)
                 if da not in degs_a or (d - da) not in degs_b:
                     continue
                 rest = tuple(di - bi for di, bi in zip(D, B))
-                ca = comps_a[da][_basis_pos(m, da)[B]]
-                cb = comps_b[d - da][_basis_pos(m, d - da)[rest]]
+                ca = comps_a[da][pos[da][B]]
+                cb = comps_b[d - da][pos[d - da][rest]]
                 if ca == 0 or cb == 0:
                     continue
                 # binom(D,B) * sqrt(B! (D-B)!) / sqrt(D!) = sqrt(binom(D,B))
@@ -715,31 +696,22 @@ def symmetric_power_matrix(W: np.ndarray, d: int) -> np.ndarray:
     """Matrix of the degree-d functorial lift of W in the orthonormal basis.
 
     Column for basis index E is the coordinate vector of
-    prod_i (W v_i)^{e_i} / sqrt(E!).  It is built degree by degree: with i
-    the first nonzero coordinate of E, column(E) = (W v_i) column(E - e_i)
-    / sqrt(e_i), and multiplying by W v_i = sum_j W_ji v_j sends the basis
-    vector of D to sum_j W_ji sqrt(d_j + 1) times that of D + e_j, the move
-    _scatter_map tabulates for the entry e_j.  Each step's column basis is
-    the next step's source basis.
+    prod_i (W v_i)^{e_i} / sqrt(E!).  It is built degree by degree as a
+    product: with i the first nonzero coordinate of E, column(E) =
+    (W v_i) column(E - e_i) / sqrt(e_i).
     """
     W = np.asarray(W, dtype=complex)
-    m = W.shape[0]
-    if W.shape != (m, m):
-        raise DimensionMismatch("square matrix required")
+    if W.ndim != 2 or W.shape[0] != W.shape[1] or not len(W):
+        raise DimensionMismatch(f"need a nonempty square matrix, got shape {W.shape}")
     if d < 0:
         raise ValueError("need d >= 0")
-    unit = np.eye(m, dtype=np.intp)
-    out = np.ones((1, 1), dtype=complex)
-    src = _basis_rows(m, 0)
+    m = len(W)
+    images = [from_vector(W[:, i]) for i in range(m)]
+    cols = {(0,) * m: vacuum(m)}
     for k in range(1, d + 1):
-        cols = _basis_rows(m, k)
-        first = (cols != 0).argmax(axis=1)
-        prev = out[:, _rank(cols - unit[first], k - 1)]
-        # coefficient of v_j in W v_i / sqrt(e_i), one column per E
-        coef = W[:, first] / np.sqrt(cols[np.arange(len(cols)), first])
-        out = np.zeros((len(cols), len(cols)), dtype=complex)
-        idx, w = _scatter_map(m, k - 1, _basis(m, 1), src)
-        for j in range(m):
-            out[idx[j]] += w[j][:, None] * prev * coef[j]
-        src = cols
-    return out
+        prev, cols, layout = cols, {}, _layout(m, (k,))
+        for E in enumerate_basis(m, k):
+            i = next(j for j, e in enumerate(E) if e)
+            col = symmetric_product(images[i], prev[E[:i] + (E[i] - 1,) + E[i + 1 :]], cap=k).component(k)
+            cols[E] = GradedElement._fresh(m, layout, col / math.sqrt(E[i]), k, False)
+    return np.column_stack([col.component(d) for col in cols.values()])

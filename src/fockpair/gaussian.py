@@ -9,7 +9,6 @@ import numpy as np
 
 from .algebra import (
     GradedElement,
-    _basis,
     _basis_rows,
     _layout,
     _scatter_map,
@@ -153,25 +152,27 @@ def gaussian_terms(x_seed: GaussianSeed, y_seed: GaussianSeed, cap: int = DEFAUL
     terms = np.zeros(1 if finite else cap + 1, dtype=complex)
     terms[0] = 1.0
     degree = [np.ones(1, dtype=complex) for _ in seeds]
+    entries = _basis_rows(m, 2)
     for d in range(2, len(terms), 2):
-        degree = _next_degree(m, d, zetas, live, degree)
+        degree = _next_degree(m, d, zetas, live, degree, entries)
         terms[d] = np.vdot(degree[0], degree[-1])
         if not all(c.any() for c in degree):
             break
     return terms[: terms.nonzero()[0][-1] + 1], finite
 
 
-def _next_degree(m: int, d: int, zetas, live: list[int], prev: list[np.ndarray]) -> list[np.ndarray]:
+def _next_degree(m: int, d: int, zetas, live: list[int], prev: list[np.ndarray],
+                 entries: np.ndarray) -> list[np.ndarray]:
     """Degree d of each series, zeta / n times its degree d - 2 with n = d / 2.
 
-    Each live entry adds its scaled weights times the coefficients through
-    _scatter_map's table, made for this degree and kept by no cache, entry
-    after entry in _basis(m, 2) order, as symmetric_product scatters zeta's
-    entries.
+    entries is _basis_rows(m, 2).  Each live entry adds its scaled weights
+    times the coefficients through _scatter_map's table, made for this
+    degree and kept by no cache, entry after entry in basis order, as
+    symmetric_product scatters zeta's entries.
     """
     factors = [z * (1.0 / (d // 2)) for z in zetas]
     cur = [np.zeros(basis_size(m, d), dtype=complex) for _ in zetas]
-    rows, entries = _basis_rows(m, d - 2), _basis(m, 2)
+    rows = _basis_rows(m, d - 2)
     for e in live:
         at, w = _scatter_map(m, d - 2, entries[e : e + 1], rows)
         at, w = at[0], w[0]  # np.add.at is far slower through a (1, n) index than a flat one

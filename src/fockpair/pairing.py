@@ -157,6 +157,8 @@ def degree_terms(phi: GradedElement, psi: GradedElement, max_degree: int | None 
         raise DimensionMismatch("dims differ")
     upper = min(phi.max_degree, psi.max_degree)
     if max_degree is not None:
+        if max_degree < 0:
+            raise ValueError(f"max_degree must be >= 0, got {max_degree}")
         upper = min(upper, max_degree)
     require_covered(phi, psi)
     require_covered(psi, phi)
@@ -599,6 +601,8 @@ def hoelder_norm(phi: GradedElement, p: float, truncation: int | None = None) ->
     """l^p norm of the degreewise 2-norms up to the truncation degree."""
     if not p >= 1.0:  # NaN included
         raise ValueError("p must be >= 1")
+    if truncation is not None and truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
     upper = phi.max_degree if truncation is None else min(truncation, phi.max_degree)
     lay = phi._layout
     k = lay.count(upper)

@@ -107,7 +107,7 @@ def coproduct_route_evaluate(a: GradedElement, b: GradedElement, phi: GradedElem
     a from-the-definition cross-check.
     """
     m = phi.dim
-    pos = {d: {e: i for i, e in enumerate(algebra.enumerate_basis(m, d))} for d in range(phi.max_degree + 1)}
+    pos = {d: algebra._positions(m, d) for d in range(max(phi.nonzero_degrees(), default=-1) + 1)}
     total = 0j
     for d in phi.nonzero_degrees():
         for entry, coef in zip(algebra.enumerate_basis(m, d), phi.components[d]):

@@ -195,8 +195,8 @@ def test_product_cap_flags_truncation():
 def _loop_scatter_map(m, d_src, entry):
     """The per-element scatter table: reference for algebra._scatter_map."""
     d_tgt = d_src + sum(entry)
-    pos_tgt = algebra._basis_pos(m, d_tgt)
-    src = algebra._basis(m, d_src)
+    pos_tgt = {D: i for i, D in enumerate(fp.enumerate_basis(m, d_tgt))}
+    src = fp.enumerate_basis(m, d_src)
     idx = np.empty(len(src), dtype=np.intp)
     w = np.empty(len(src), dtype=float)
     for i, D in enumerate(src):
@@ -206,12 +206,10 @@ def _loop_scatter_map(m, d_src, entry):
     return idx, w
 
 
-def test_rank_is_basis_position():
+def test_basis_rows_order_and_binomial_tables():
     for m in range(1, 6):
         for d in range(0, 31, 3):
-            rows = algebra._basis_rows(m, d)
-            assert np.array_equal(algebra._rank(rows, d), np.arange(len(rows)))
-            got = [tuple(r) for r in rows.tolist()]
+            got = [tuple(r) for r in algebra._basis_rows(m, d).tolist()]
             assert got == sorted(set(got), reverse=True) == fp.enumerate_basis(m, d)
             assert len(got) == fp.basis_size(m, d) and all(sum(r) == d for r in got)
     # the binomial tables grow with n and serve smaller n as slices
@@ -387,7 +385,7 @@ def _reference_symmetric_product(a, b, cap=64):
                 entries, spread, d_spread = arr_a, arr_b, db
             else:
                 entries, spread, d_spread = arr_b, arr_a, da
-            ent_basis = algebra._basis(m, da + db - d_spread)
+            ent_basis = algebra._basis_rows(m, da + db - d_spread)
             for k in np.flatnonzero(entries):
                 (idx,), (w,) = algebra._scatter_map(m, d_spread, ent_basis[k : k + 1], algebra._basis_rows(m, d_spread))
                 tgt[idx] += entries[k] * w * spread
@@ -522,7 +520,7 @@ def test_scatter_plans_hold_only_their_rows(monkeypatch):
     monkeypatch.setattr(algebra, "_basis_rows", lambda m, d: bases.append(weakref.ref(out := basis_rows(m, d))) or out)
     scatter_map = algebra._scatter_map
     monkeypatch.setattr(algebra, "_scatter_map", lambda m, d_src, entries, src: rows.extend(
-        (d_src, entry) for entry in entries) or scatter_map(m, d_src, entries, src))
+        (d_src, tuple(entry)) for entry in entries) or scatter_map(m, d_src, entries, src))
     algebra._scatter_plan.cache_clear()
     # a dense m = 3 series: vacuum x zeta, zeta x zeta / 2, then zeta spread
     # over each higher power, one plan each
@@ -546,6 +544,21 @@ def test_scatter_plans_hold_only_their_rows(monkeypatch):
     fp.gaussian_series(fp.GaussianSeed.from_map(fp.conjugation(4)), 12)
     diagonal = [entry for entry in fp.enumerate_basis(4, 2) if 2 in entry]
     assert sorted(rows) == sorted([(2, (0, 0, 0, 0))] + [(d, entry) for d in range(2, 11, 2) for entry in diagonal])
+
+
+def test_algebra_caches_only_layouts_and_plans():
+    # the basis lives only as _basis_rows arrays; the oracles build their
+    # positions per call and keep none
+    rng = np.random.default_rng(41)
+    fp.enumerate_basis(3, 5)
+    fp.embed_product([rnd_vec(rng, 3) for _ in range(3)])
+    a, b = (random_element(rng, 2, 3, 1.0, truncated=False) for _ in range(2))
+    fp.antidual_product(a, b)
+    algebra._scatter_plan.cache_clear()
+    fp.gaussian_series(fp.GaussianSeed.from_map(fp.random_symmetric(3, rng, norm=0.5)), 12)
+    fp.symmetric_power_matrix(rng.standard_normal((3, 3)), 4)
+    cached = sorted(name for name, value in vars(algebra).items() if hasattr(value, "cache_info"))
+    assert cached == ["_layout", "_product_layout", "_scatter_plan"]
 
 
 # ---------------------------------------------------------------- coproduct and antidual product
@@ -811,6 +824,10 @@ def test_symmetric_power_matrix_matches_embed_reference():
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (m, d)
     with pytest.raises(ValueError):
         fp.symmetric_power_matrix(np.eye(2), -1)
+    # a scalar, an empty matrix, a non-square one and a stack, each refused before any work
+    for W in (np.array(2.0), np.zeros((0, 0)), np.ones((2, 3)), np.ones((2, 2, 2))):
+        with pytest.raises(fp.DimensionMismatch):
+            fp.symmetric_power_matrix(W, 2)
 
 
 def test_symmetric_power_matrix_is_functorial():

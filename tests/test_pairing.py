@@ -63,6 +63,22 @@ def test_degree_terms_horizon_guard():
         fp.hoelder_pairing_check(tall, short, 2.0, 2.0)
 
 
+def test_degree_terms_rejects_negative_max_degree():
+    phi = random_element(np.random.default_rng(36), 2, 4, truncated=False)
+    with pytest.raises(ValueError, match="max_degree must be >= 0, got -2"):
+        degree_terms(phi, phi, -2)
+    terms, finite = degree_terms(phi, phi, 0)
+    assert finite and len(terms) == 1 and terms[0] == pytest.approx(abs(phi.component(0)[0]) ** 2, rel=1e-15)
+
+
+def test_hoelder_norm_rejects_negative_truncation():
+    phi = random_element(np.random.default_rng(37), 2, 4, truncated=False)
+    with pytest.raises(ValueError, match="truncation must be >= 0, got -3"):
+        fp.hoelder_norm(phi, 2.0, -3)
+    got = fp.hoelder_norm(phi, 2.0, 0)
+    assert got.truncation_degree == 0 and got.value == pytest.approx(abs(phi.component(0)[0]), rel=1e-15)
+
+
 def _complex(re, im):
     out = np.empty(len(re), dtype=complex)
     out.real, out.imag = re, im

@@ -15,9 +15,12 @@ of every term counts.  The `tables` lines are the scatter tables
 themselves: one line per plan that the `sweep-warm` setup asks for, in the
 order first asked, with its key and the md5 of its positions' and weights'
 bytes, then one such line per table the CLI's stream builds for a dense
-seed at m = 4, cap 62, which no `sweep-warm` input reaches.  One line per set,
-`sweep-warm <md5>`, `verdict <md5>`, `stream <md5>` and `tables <md5>`,
-digests that set's lines alone, so a moved digest names the route whose
+seed at m = 4, cap 62, which no `sweep-warm` input reaches.  The `lift`
+lines are the functorial lift: one line per m = 1 to 4 and d = 0 to 8, the
+md5 of the bytes of `symmetric_power_matrix(W, d)` for a fixed random
+complex m x m matrix W.  One line per set, `sweep-warm <md5>`,
+`verdict <md5>`, `stream <md5>`, `tables <md5>` and `lift <md5>`, digests
+that set's lines alone, so a moved digest names the route whose
 results moved; the last line is the digest of all of them.
 A change meant to keep every result prints the same last line before and
 after.  Compare two checkouts with one copy of this tool.
@@ -111,12 +114,27 @@ def table_lines():
         yield f"tables stream {i} {d_src} {md5}\n"
 
 
+LIFT_SEED = 5
+
+
+def lift_lines():
+    """One line per (m, d) of the lift of a fixed W, m = 1 to 4, d = 0 to 8."""
+    from fockpair.algebra import symmetric_power_matrix
+
+    rng = np.random.default_rng(LIFT_SEED)
+    for m in range(1, 5):
+        W = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        for d in range(9):
+            yield f"lift {m} {d} {_table_md5(symmetric_power_matrix(W, d))}\n"
+
+
 def digests() -> tuple[dict[str, str], str]:
     """md5 of each set's lines, and of all of them in order, hashed as they come."""
     lines = itertools.chain(
         ((name, f"{name} {i} {result!r}\n") for name, i, result in results()),
         (("stream", f"stream {i} {finite} {terms.tobytes().hex()}\n") for i, terms, finite in stream_terms()),
-        (("tables", line) for line in table_lines()))
+        (("tables", line) for line in table_lines()),
+        (("lift", line) for line in lift_lines()))
     every, each = hashlib.md5(), {}
     for name, line in lines:
         each.setdefault(name, hashlib.md5()).update(line.encode())
